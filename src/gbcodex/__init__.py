@@ -1,8 +1,8 @@
 """Weight-4 generalized bicycle CSS codes.
 
 Construction from circulant generator pairs, exact code parameters over
-GF(2), certified minimum-distance bounds through an attached 2D integer
-lattice, explicit logical-operator certificates, and catalog sweeps over all
+GF(2), exact minimum distances through an attached 2D integer lattice,
+explicit logical-operator certificates, and catalog sweeps over all
 admissible lengths.
 """
 
@@ -17,7 +17,6 @@ from .arithmetic import (
 from .catalog import CatalogEntry, analyze_length, sweep_catalog, verify_catalog, write_catalog
 from .css import CssCode, dimension, exhaustive_distance, is_logical_x, is_logical_z, min_weight_logical, new_css
 from .distance import (
-    DistanceBudget,
     DistanceReport,
     determine,
     reduced_pair_lower_bound,

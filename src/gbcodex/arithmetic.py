@@ -9,7 +9,6 @@ remainder theorem.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .gbcode import GbSpec
@@ -137,10 +136,3 @@ def optimized_kitaev_spec(t: int) -> GbSpec:
     a = BinaryPolynomial.from_support([0, 2 * t * t + 1])
     b = BinaryPolynomial.from_support([1, 2 * t * t])
     return GbSpec(a, b, n)
-
-
-def modular_inverse(a: int, n: int) -> int:
-    """Inverse of a mod n; raises when gcd(a, n) != 1."""
-    if math.gcd(a % n, n) != 1:
-        raise ValueError(f"{a} is not invertible modulo {n}")
-    return pow(a, -1, n)

@@ -1,11 +1,12 @@
 """Catalog sweep over admissible lengths, persistence, and re-verification.
 
 The sweep visits every admissible n with 2n <= max_length, takes one
-representative per mirror pair of square roots of -1, runs the distance
-pipeline, and keeps the report with the strongest certified lower bound per
-n (ties broken toward the smaller alpha).  Entries serialize to
-newline-delimited JSON (full records, round-trippable) or to a flat CSV
-export; every numeric field is an exact integer.
+representative per mirror pair of square roots of -1, determines each exact
+distance (min-L1 of the attached lattice), and keeps the largest per n (ties
+broken toward the smaller alpha).  Entries serialize to newline-delimited
+JSON (full records, round-trippable) or to a flat CSV export; every numeric
+field is an exact integer.  ``verify`` recomputes min-L1 for every record of
+either format and rebuilds each JSON record's code as an independent check.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import arithmetic, css, gbcode
-from .distance import DEFAULT_BUDGET, DistanceBudget, DistanceReport, determine
+from .distance import DistanceReport, determine
 from .lattice import Vec, ceil_sqrt, gauss_reduce, gb_lattice, min_l1, shortest_norm2
 from .torus_graph import EdgeVector
 
 SCHEMA_NAME = "gb-catalog"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TAG_KITAEV = "kitaev"
 TAG_OPTIMIZED = "optimized-kitaev"
@@ -55,7 +56,7 @@ class CatalogEntry:
 
     @property
     def d(self) -> int:
-        """The certified distance column: always an achieved upper bound."""
+        """The exact distance: the certificate weight, equal to min-L1."""
         return self.report.upper_bound
 
 
@@ -78,14 +79,14 @@ def classify_family(alpha: int, n: int) -> str:
     return TAG_NEW
 
 
-def analyze_length(n: int, budget: DistanceBudget = DEFAULT_BUDGET, seed: int = arithmetic.DEFAULT_SEED) -> CatalogEntry | None:
+def analyze_length(n: int, seed: int = arithmetic.DEFAULT_SEED) -> CatalogEntry | None:
     """Best catalog entry for one admissible n, or None when no root exists."""
     roots = arithmetic.sqrt_minus_one_all(n, seed)
     if not roots:
         return None
     classes = sorted({min(a, n - a) for a in roots})
-    reports = [determine(alpha, n, budget) for alpha in classes]
-    best = max(reports, key=lambda r: (r.guaranteed_lower, -r.alpha))
+    reports = [determine(alpha, n) for alpha in classes]
+    best = max(reports, key=lambda r: (r.exact, -r.alpha))
     lat = gb_lattice(best.alpha, n)
     reduced = gauss_reduce(lat)
     l1 = min_l1(lat)
@@ -110,19 +111,15 @@ def _worker_count() -> int:
         return 1
 
 
-def sweep_catalog(
-    max_length: int,
-    budget: DistanceBudget = DEFAULT_BUDGET,
-    seed: int = arithmetic.DEFAULT_SEED,
-) -> list[CatalogEntry]:
+def sweep_catalog(max_length: int, seed: int = arithmetic.DEFAULT_SEED) -> list[CatalogEntry]:
     """All best-per-n entries with 2n <= max_length, sorted by (d, length, alpha)."""
     lengths = [n for n in range(1, max_length // 2 + 1) if arithmetic.is_admissible(n)]
     workers = _worker_count()
     if workers > 1 and len(lengths) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyze_length, lengths, [budget] * len(lengths), [seed] * len(lengths)))
+            results = list(pool.map(analyze_length, lengths, [seed] * len(lengths)))
     else:
-        results = [analyze_length(n, budget, seed) for n in lengths]
+        results = [analyze_length(n, seed) for n in lengths]
     entries = [e for e in results if e is not None]
     entries.sort(key=lambda e: (e.d, e.length, e.alpha))
     return entries
@@ -139,12 +136,9 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
         "d": entry.d,
         "lower": r.lower_bound,
         "hypothesis_met": r.hypothesis_met,
-        "parity_refined_lower": r.parity_refined_lower,
         "upper": r.upper_bound,
         "exact": r.exact,
         "method": r.method,
-        "closed_by": r.closed_by,
-        "z_side": r.z_side,
         "certificate": list(r.certificate),
         "lambda2": entry.lambda2,
         "min_l1": entry.min_l1,
@@ -161,13 +155,8 @@ def entry_from_dict(data: dict) -> CatalogEntry:
         k=data["k"],
         lower_bound=data["lower"],
         hypothesis_met=data["hypothesis_met"],
-        parity_refined_lower=data["parity_refined_lower"],
         upper_bound=data["upper"],
         certificate=tuple(data["certificate"]),
-        exact=data["exact"],
-        method=data["method"],
-        closed_by=data["closed_by"],
-        z_side=data["z_side"],
     )
     return CatalogEntry(
         n=data["n"],
@@ -182,24 +171,16 @@ def entry_from_dict(data: dict) -> CatalogEntry:
     )
 
 
-def _header_dict(max_length: int, budget: DistanceBudget, seed: int) -> dict:
-    return {
-        "schema": SCHEMA_NAME,
-        "version": SCHEMA_VERSION,
-        "max_length": max_length,
-        "kernel_cap": budget.kernel_cap,
-        "parity_refinement": budget.use_parity_refinement,
-        "certificate_slack": budget.certificate_slack,
-        "seed": seed,
-    }
+def _header_dict(max_length: int, seed: int) -> dict:
+    return {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION, "max_length": max_length, "seed": seed}
 
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def render_json(entries: list[CatalogEntry], max_length: int, budget: DistanceBudget, seed: int) -> str:
-    lines = [_dump(_header_dict(max_length, budget, seed))]
+def render_json(entries: list[CatalogEntry], max_length: int, seed: int) -> str:
+    lines = [_dump(_header_dict(max_length, seed))]
     lines.extend(_dump(entry_to_dict(e)) for e in entries)
     return "\n".join(lines) + "\n"
 
@@ -218,12 +199,11 @@ def write_catalog(
     path: str,
     entries: list[CatalogEntry],
     max_length: int,
-    budget: DistanceBudget = DEFAULT_BUDGET,
     seed: int = arithmetic.DEFAULT_SEED,
     fmt: str = "json",
 ) -> None:
     if fmt == "json":
-        text = render_json(entries, max_length, budget, seed)
+        text = render_json(entries, max_length, seed)
     elif fmt == "csv":
         text = render_csv(entries)
     else:
@@ -248,6 +228,20 @@ def read_catalog_json(path: str) -> tuple[dict, list[CatalogEntry]]:
     return header or {}, entries
 
 
+def _distance_problems(alpha: int, n: int, lower: int, upper: int, d: int, method: str) -> list[str]:
+    """Recheck the distance columns: lower is the Euclidean bound, d = upper = min-L1."""
+    lat = gb_lattice(alpha, n)
+    euclid, l1 = ceil_sqrt(shortest_norm2(lat)), min_l1(lat).value
+    problems = []
+    if lower != euclid:
+        problems.append(f"lower {lower} != recomputed Euclidean bound {euclid}")
+    if not d == upper == l1:
+        problems.append(f"d {d} and upper {upper} must equal the recomputed min-L1 {l1}")
+    if method != "sandwich-closed":
+        problems.append(f"method {method!r} != 'sandwich-closed'")
+    return problems
+
+
 def _verify_entry(data: dict) -> list[str]:
     """Recompute one JSON record's invariants; returns human-readable problems."""
     problems = []
@@ -269,13 +263,10 @@ def _verify_entry(data: dict) -> list[str]:
         problems.append("lambda2 does not match the recomputed lattice minimum")
     if min_l1(lat).value != data["min_l1"]:
         problems.append("min_l1 does not match the recomputed lattice minimum")
-    lower, upper, exact, d = data["lower"], data["upper"], data["exact"], data["d"]
-    if lower > upper:
-        problems.append(f"bound ordering violated: lower {lower} > upper {upper}")
-    if exact is not None and not lower <= exact <= upper:
-        problems.append(f"exact {exact} outside [{lower}, {upper}]")
-    if d != upper:
-        problems.append(f"d {d} != upper bound {upper}")
+    d, upper = data["d"], data["upper"]
+    problems.extend(_distance_problems(alpha, n, data["lower"], upper, d, data["method"]))
+    if data["exact"] != d:
+        problems.append(f"exact {data['exact']} != d {d}")
     if d < ceil_sqrt(n):
         problems.append(f"d {d} below ceil(sqrt(n)) = {ceil_sqrt(n)}")
     cert = data["certificate"]
@@ -295,9 +286,9 @@ def _verify_entry(data: dict) -> list[str]:
 def verify_catalog(path: str) -> tuple[int, list[str]]:
     """Recheck every record of a written catalog.
 
-    Returns (record count, problems); each problem names its line.  JSON
-    catalogs get the full certificate recheck, CSV exports the bound/shape
-    subset that the flat columns allow.
+    Returns (record count, problems); each problem names its line.  Every
+    record's distance columns are checked against a recomputed min-L1; JSON
+    catalogs also get the dense rebuild and the certificate recheck.
     """
     problems = []
     count = 0
@@ -315,8 +306,9 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                     problems.append(f"line {lineno}: corrupt JSON ({exc.msg})")
                     continue
                 if lineno == 1:
-                    if record.get("schema") != SCHEMA_NAME:
-                        problems.append(f"line 1: unexpected schema {record.get('schema')!r}")
+                    if (record.get("schema"), record.get("version")) != (SCHEMA_NAME, SCHEMA_VERSION):
+                        problems.append(f"line 1: unexpected schema {record.get('schema')!r} "
+                                        f"version {record.get('version')!r}")
                     continue
                 count += 1
                 try:
@@ -341,8 +333,8 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                     problems.append(f"line {lineno}: length {length} != 2n")
                 if k != gbcode.dimension_formula(gbcode.canonical_spec(alpha, n)):
                     problems.append(f"line {lineno}: k mismatch")
-                if not lower <= upper or d != upper:
-                    problems.append(f"line {lineno}: bound ordering violated")
+                problems.extend(f"line {lineno}: {p}"
+                                for p in _distance_problems(alpha, n, lower, upper, d, row["method"]))
                 if shortest_norm2(gb_lattice(alpha, n)) < n and alpha * alpha % n == (n - 1) % n:
                     problems.append(f"line {lineno}: lattice minimum below n for a root of -1")
     return count, problems

@@ -9,26 +9,9 @@ import argparse
 import sys
 
 from . import arithmetic, catalog, css, gbcode
-from .distance import DistanceBudget, determine, reduced_pair_lower_bound
+from .distance import determine, reduced_pair_lower_bound
 from .gf2poly import parse_poly
 from .lattice import gb_lattice, min_l1, shortest_norm2
-
-
-def _budget_from_args(args: argparse.Namespace) -> DistanceBudget:
-    return DistanceBudget(
-        kernel_cap=args.kernel_cap,
-        use_parity_refinement=not args.no_parity_refinement,
-        certificate_slack=args.certificate_slack,
-    )
-
-
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel-cap", type=int, default=css.DEFAULT_KERNEL_CAP,
-                        help="largest kernel dimension the exhaustive oracle may sweep")
-    parser.add_argument("--no-parity-refinement", action="store_true",
-                        help="use only the plain lattice lower bound")
-    parser.add_argument("--certificate-slack", type=int, default=2,
-                        help="extra L1 radius searched for upper-bound certificates")
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -58,16 +41,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
-    report = determine(args.alpha, args.n, _budget_from_args(args))
+    report = determine(args.alpha, args.n)
     print(f"alpha={report.alpha} n={report.n} length={report.length} k={report.k}")
     hyp = "yes" if report.hypothesis_met else "no (n < 6)"
-    refined = report.parity_refined_lower if report.parity_refined_lower is not None else "-"
-    print(f"lower={report.lower_bound} (hypothesis-met={hyp}) parity-refined={refined}")
-    exact = report.exact if report.exact is not None else "-"
-    closed = f" closed-by={report.closed_by}" if report.closed_by else ""
-    print(f"upper={report.upper_bound} exact={exact} method={report.method}{closed}")
+    print(f"lower={report.lower_bound} (hypothesis-met={hyp})")
+    print(f"upper={report.upper_bound} exact={report.exact} method={report.method}")
     print(f"certificate={list(report.certificate)} (weight {len(report.certificate)})")
-    print(f"z-side={report.z_side}")
     return 0
 
 
@@ -80,10 +59,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    budget = _budget_from_args(args)
-    entries = catalog.sweep_catalog(args.max_length, budget, args.seed)
+    entries = catalog.sweep_catalog(args.max_length, args.seed)
     path = args.output or f"catalog.{args.format}"
-    catalog.write_catalog(path, entries, args.max_length, budget, args.seed, fmt=args.format)
+    catalog.write_catalog(path, entries, args.max_length, args.seed, fmt=args.format)
     print(f"{len(entries)} entries -> {path}")
     return 0
 
@@ -115,10 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int, help="circulant size")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("distance", help="certified distance report for (alpha, n)")
+    p = sub.add_parser("distance", help="exact distance report for (alpha, n)")
     p.add_argument("--alpha", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
-    _add_budget_flags(p)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("bound", help="lattice lower bound for (1+x^u, 1+x^v, n)")
@@ -132,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="output path (default catalog.<format>)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=arithmetic.DEFAULT_SEED)
-    _add_budget_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="recheck every record of a written catalog")

@@ -1,18 +1,10 @@
-"""Certified minimum-distance determination for canonical weight-2 GB codes.
+"""Exact minimum distance of canonical weight-2 GB codes.
 
-Three ingredients are combined into one report:
-
-* a lower bound: the Euclidean length of the shortest nonzero vector of the
-  attached lattice (exact integer arithmetic, with a flag when n < 6 falls
-  outside the proven range), optionally sharpened by a parity argument;
-* an upper bound: an explicit logical operator built as a staircase walk for
-  a minimal-L1 lattice vector, revalidated by linear algebra;
-* when the two do not meet and the kernel is small enough, the exhaustive
-  oracle settles the value exactly.
-
-The parity refinement is not part of the cited bound; every report records
-which ingredient closed the sandwich, and the test suite cross-checks the
-refinement against the oracle on every instance the oracle can reach.
+The code (1 + x, 1 + x^alpha) over x^n - 1 is the square-grid toric code on
+Z^2 / L with L = {(x, y) : x + alpha*y = 0 mod n}, so its distance on either
+side is the least L1 norm of a nonzero vector of L (see ``determine``).  A
+report carries that value with an explicit weight-d logical operator, and
+the paper's Euclidean lower bound as the ``lower`` column.
 """
 
 from __future__ import annotations
@@ -21,30 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import css, gbcode, gf2matrix
+from . import gbcode
 from .lattice import ceil_sqrt, enumerate_short, gb_lattice, min_l1, shortest_norm2
 from .torus_graph import EdgeVector, TorusGraph
-
-METHOD_SANDWICH = "sandwich-closed"
-METHOD_ORACLE = "oracle-confirmed"
-METHOD_INTERVAL = "interval-only"
-
-CLOSED_BY_LATTICE = "lattice-bound"
-CLOSED_BY_PARITY = "parity-refined"
-
-Z_ORACLE = "oracle-confirmed"
-Z_ASSUMED = "assumed-equal"
-
-
-@dataclass(frozen=True)
-class DistanceBudget:
-    kernel_cap: int = css.DEFAULT_KERNEL_CAP
-    use_parity_refinement: bool = True
-    certificate_slack: int = 2
-    confirm_z: bool = True
-
-
-DEFAULT_BUDGET = DistanceBudget()
 
 
 @dataclass(frozen=True)
@@ -54,24 +25,21 @@ class DistanceReport:
     k: int
     lower_bound: int
     hypothesis_met: bool
-    parity_refined_lower: int | None
     upper_bound: int
     certificate: tuple[int, ...]
-    exact: int | None
-    method: str
-    closed_by: str | None
-    z_side: str
 
     @property
     def length(self) -> int:
         return 2 * self.n
 
     @property
-    def guaranteed_lower(self) -> int:
-        """The strongest certified lower bound carried by this report."""
-        if self.exact is not None:
-            return self.exact
-        return max(self.lower_bound, self.parity_refined_lower or 0)
+    def exact(self) -> int:
+        """The distance; the certificate weight is exact by the min-L1 argument."""
+        return self.upper_bound
+
+    @property
+    def method(self) -> str:
+        return "sandwich-closed"
 
 
 class LatticeBound(NamedTuple):
@@ -99,26 +67,20 @@ def reduced_pair_lower_bound(u: int, v: int, n: int) -> int:
     return lattice_lower_bound(alpha, n).bound
 
 
-def upper_bound_certificate(alpha: int, n: int, slack: int = 2) -> tuple[int, EdgeVector]:
-    """Best staircase logical operator over near-minimal-L1 lattice targets.
+def upper_bound_certificate(alpha: int, n: int) -> tuple[int, EdgeVector]:
+    """The staircase of a minimal-L1 lattice vector, revalidated once.
 
-    Every candidate staircase is revalidated: it must not lie in the face
-    span.  Returns (weight, witness); the weight never exceeds the minimum
-    L1 norm when any staircase validates.
+    Returns (weight, witness).  The staircase closes, so it lies in ker(h_x);
+    it must also have weight min-L1 and lie outside the face span, or a
+    RuntimeError is raised.
     """
-    lat = gb_lattice(alpha, n)
-    radius = min_l1(lat).value + max(0, slack)
+    l1 = min_l1(gb_lattice(alpha, n))
     graph = TorusGraph(n, alpha)
-    best: tuple[int, EdgeVector] | None = None
-    for t in enumerate_short(lat, radius):
-        vec = graph.staircase(t)
-        if graph.is_sum_of_faces(vec):
-            continue
-        if best is None or vec.weight < best[0]:
-            best = (vec.weight, vec)
-    if best is None:
-        raise RuntimeError(f"no certificate found for alpha={alpha}, n={n}")
-    return best
+    vec = graph.staircase(l1.witness)
+    if vec.weight != l1.value or graph.is_sum_of_faces(vec):
+        raise RuntimeError(f"staircase of {l1.witness} is not a weight-{l1.value} logical "
+                           f"for alpha={alpha}, n={n}")
+    return vec.weight, vec
 
 
 def parity_refined_lower(alpha: int, n: int) -> int:
@@ -127,7 +89,8 @@ def parity_refined_lower(alpha: int, n: int) -> int:
     A closed walk with net displacement t uses at least ||t||_2 steps, and its
     total step count has the parity of |t.x| + |t.y|.  Minimizing that over
     the candidate displacements inside the minimal-L1 ball, then taking the
-    max with the plain bound, gives the refined lower bound.
+    max with the plain bound, gives the refined lower bound.  It never
+    exceeds min-L1, so ``determine`` does not need it.
     """
     if not 1 < alpha < n - 1:
         raise ValueError("parity refinement requires 1 < alpha < n - 1")
@@ -142,69 +105,37 @@ def parity_refined_lower(alpha: int, n: int) -> int:
     return max(ceil_sqrt(shortest_norm2(lat)), best)
 
 
-def determine(alpha: int, n: int, budget: DistanceBudget = DEFAULT_BUDGET) -> DistanceReport:
-    """Assemble bounds into a single deterministic report.
+def determine(alpha: int, n: int) -> DistanceReport:
+    """Exact distance of (1 + x, 1 + x^alpha, n): d_X = d_Z = min-L1(L).
 
-    If the sharpest lower bound meets the certificate weight, the value is
-    exact by sandwich.  Otherwise the exhaustive oracle runs when the kernel
-    dimension fits the budget; failing that, the report is an interval.
+    The Tanner graph of h_x has vertices Z/n and edges v -> v + 1 and
+    v -> v + alpha, which is the square grid Z^2 modulo
+    L = {(x, y) : x + alpha*y = 0 mod n}; the rows of h_z are its square
+    faces, so the code is the toric code on Z^2 / L.  An X-logical is a cycle
+    with a nonzero class in H_1 = L / 2L, so one of its closed walks lifts to
+    a nonzero t in L and has at least ||t||_1 edges: d_X >= min-L1(L).  The
+    dual graph is the same grid, which gives d_Z >= min-L1(L) too.  The
+    staircase of an L1-minimal vector attains the bound, because that vector
+    is primitive and so nonzero in L / 2L.
+
+    ``lower`` is the paper's Euclidean bound, which never exceeds min-L1.  A
+    RuntimeError means the certificate failed revalidation or the bounds
+    cross, either of which would contradict the argument above.
     """
-    spec = gbcode.canonical_spec(alpha, n)
-    k = gbcode.dimension_formula(spec)
-    theorem = lattice_lower_bound(alpha, n)
-    upper, cert = upper_bound_certificate(alpha, n, budget.certificate_slack)
-    refined = None
-    if budget.use_parity_refinement and 1 < alpha < n - 1:
-        refined = parity_refined_lower(alpha, n)
-    effective_lower = max(theorem.bound, refined or 0)
-    if effective_lower > upper:
+    k = gbcode.dimension_formula(gbcode.canonical_spec(alpha, n))
+    lower = lattice_lower_bound(alpha, n)
+    upper, cert = upper_bound_certificate(alpha, n)
+    if lower.bound > upper:
         raise RuntimeError(
-            f"lower bound {effective_lower} exceeds certified upper {upper} "
+            f"lower bound {lower.bound} exceeds certified upper {upper} "
             f"for alpha={alpha}, n={n}; this contradicts the certificate"
         )
-
-    exact = None
-    method = METHOD_INTERVAL
-    closed_by = None
-    z_side = Z_ASSUMED
-    if effective_lower == upper:
-        exact = upper
-        method = METHOD_SANDWICH
-        closed_by = CLOSED_BY_LATTICE if theorem.bound == upper else CLOSED_BY_PARITY
-    else:
-        code = gbcode.build(spec)
-        kernel_dim = code.length - gf2matrix.rank(code.h_x)
-        if kernel_dim <= budget.kernel_cap:
-            w_x, witness = css.min_weight_logical(code, "X", budget.kernel_cap)
-            if w_x < effective_lower:
-                raise RuntimeError(
-                    f"exhaustive minimum {w_x} undercuts the lower bound "
-                    f"{effective_lower} for alpha={alpha}, n={n}"
-                )
-            exact = w_x
-            upper = w_x
-            cert = EdgeVector(n, witness)
-            method = METHOD_ORACLE
-            if budget.confirm_z:
-                w_z, _ = css.min_weight_logical(code, "Z", budget.kernel_cap)
-                if w_z != w_x:
-                    raise RuntimeError(
-                        f"one-sided distances disagree ({w_x} vs {w_z}) "
-                        f"for alpha={alpha}, n={n}"
-                    )
-                z_side = Z_ORACLE
-
     return DistanceReport(
         n=n,
         alpha=alpha,
         k=k,
-        lower_bound=theorem.bound,
-        hypothesis_met=theorem.hypothesis_met,
-        parity_refined_lower=refined,
+        lower_bound=lower.bound,
+        hypothesis_met=lower.hypothesis_met,
         upper_bound=upper,
         certificate=cert.support(),
-        exact=exact,
-        method=method,
-        closed_by=closed_by,
-        z_side=z_side,
     )

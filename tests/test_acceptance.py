@@ -35,15 +35,16 @@ from gbcodex.lattice import ceil_sqrt, gb_lattice, min_l1, shortest_norm2
 from gbcodex.torus_graph import EdgeVector
 
 # (length, k, d) multiset the catalog sweep is required to reproduce.  It differs
-# from the paper's table (21 codes) in two rows, both pinned exactly by the
+# from the paper's table (21 codes) in three rows, all pinned exactly by the
 # gbcodex-free oracle in test_catalog.py::test_graphlike_oracle_pins_disputed_rows:
 # (122, 2, 11) replaces (122, 2, 10): n = 61 is the t = 5 rotated grid, d = 2t + 1 (criterion 6).
 # (164, 2, 10) is added: n = 82 = 1 + 9^2 is admissible, and the sweep visits every such n.
+# (130, 2, 11) replaces (130, 2, 9): at n = 65 the root alpha = 18 has d = 11, alpha = 8 only 9.
 REQUIRED_TABLE = Counter(
     [
         (4, 2, 2), (10, 2, 3), (20, 2, 4), (26, 2, 5), (34, 2, 5), (52, 2, 6),
         (50, 2, 7), (58, 2, 7), (74, 2, 7), (68, 2, 8), (100, 2, 8),
-        (82, 2, 9), (106, 2, 9), (130, 2, 9), (116, 2, 10), (122, 2, 11),
+        (82, 2, 9), (106, 2, 9), (130, 2, 11), (116, 2, 10), (122, 2, 11),
         (146, 2, 11), (148, 2, 12), (164, 2, 10), (170, 2, 13), (178, 2, 13),
         (194, 2, 13),
     ]

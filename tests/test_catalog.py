@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from gbcodex.catalog import (
     verify_catalog,
     write_catalog,
 )
-from gbcodex.distance import DEFAULT_BUDGET
+from gbcodex.distance import determine
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
 from gbcodex.torus_graph import EdgeVector
@@ -25,8 +26,8 @@ from oracle_utils import gb_check_rows, graphlike_min_logical, scan_min_l1, scan
 
 # Best representative per circulant size, recomputed here from first
 # principles: roots by scan, one representative per mirror pair, the pick
-# maximizing the certified lower bound (ties to the smaller alpha), and the
-# distance column equal to the certificate weight.
+# maximizing the exact distance (ties to the smaller alpha), and the distance
+# column equal to the certificate weight.
 EXPECTED_200 = {
     2: (1, 2),
     5: (2, 3),
@@ -43,7 +44,7 @@ EXPECTED_200 = {
     53: (23, 9),
     58: (17, 10),
     61: (11, 11),
-    65: (8, 9),
+    65: (18, 11),
     73: (27, 11),
     74: (31, 12),
     82: (9, 10),
@@ -53,15 +54,21 @@ EXPECTED_200 = {
 }
 
 
-# The two rows where the sweep differs from the paper's table (lengths 122
+# The rows where the sweep differs from the paper's table (lengths 122, 130
 # and 164), pinned on both sides by an exact oracle that shares no code with
-# gbcodex.
-@pytest.mark.parametrize("alpha,n,d", [(11, 61, 11), (9, 82, 10)])
+# gbcodex.  At n = 65 the other root class, alpha = 8, has only d = 9.
+@pytest.mark.parametrize("alpha,n,d", [(11, 61, 11), (9, 82, 10), (18, 65, 11)])
 def test_graphlike_oracle_pins_disputed_rows(alpha, n, d):
     assert EXPECTED_200[n] == (alpha, d)
     h_x, h_z = gb_check_rows([0, 1], [0, alpha], n)
     assert graphlike_min_logical(h_x, h_z) == d
     assert graphlike_min_logical(h_z, h_x) == d
+
+
+def test_graphlike_oracle_pins_weaker_root_n65():
+    h_x, h_z = gb_check_rows([0, 1], [0, 8], 65)
+    assert graphlike_min_logical(h_x, h_z) == 9 == graphlike_min_logical(h_z, h_x)
+    assert determine(8, 65).exact == 9
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +111,13 @@ class TestSweep:
             assert list(e.alphas) == sqrt_minus_one_all(e.n)
 
     def test_multi_class_sizes_pick_strongest_lower(self):
-        # n = 65 has root classes {8, 18}: 8 closes at 9, 18 stays an interval.
+        # n = 65 has root classes {8, 18} with distances 9 and 11.
         entry = analyze_length(65)
-        assert (entry.alpha, entry.d, entry.report.method) == (8, 9, "sandwich-closed")
-        # n = 85 has classes {13, 38}: both guarantee 11, the tie goes to 13.
+        assert (entry.alpha, entry.d, entry.report.exact) == (18, 11, 11)
+        # n = 85 has classes {13, 38} with distances 13 and 11.
         entry = analyze_length(85)
-        assert (entry.alpha, entry.d, entry.report.exact) == (13, 13, None)
+        assert (entry.alpha, entry.d, entry.report.exact) == (13, 13, 13)
+        assert determine(38, 85).exact == 11
 
     def test_family_tags(self, entries_200):
         tags = {e.n: e.tag for e in entries_200}
@@ -137,7 +145,7 @@ class TestSerialization:
         assert back == entries_200
 
     def test_no_floats_persisted(self, entries_200):
-        text = render_json(entries_200, 200, DEFAULT_BUDGET, 1)
+        text = render_json(entries_200, 200, 1)
         for line in text.splitlines():
             def reject_floats(obj):
                 if isinstance(obj, float):
@@ -174,6 +182,31 @@ class TestVerify:
         write_catalog(path, sweep_catalog(60), 60, fmt="csv")
         count, problems = verify_catalog(path)
         assert problems == [] and count == 8
+
+    def test_csv_distance_raised_by_one_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.csv")
+        write_catalog(path, sweep_catalog(60), 60, fmt="csv")
+        with open(path) as f:
+            rows = list(csv.DictReader(f))
+        rows[3]["d"] = rows[3]["upper"] = str(int(rows[3]["d"]) + 1)
+        with open(path, "w", newline="") as f:
+            writer = csv.DictWriter(f, CSV_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        count, problems = verify_catalog(path)
+        assert count == 8
+        assert len(problems) == 1 and problems[0].startswith("line 5: d ")
+
+    def test_old_schema_version_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(30), 30)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        lines[0] = lines[0].replace('"version":2', '"version":1')
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        count, problems = verify_catalog(path)
+        assert problems == ["line 1: unexpected schema 'gb-catalog' version 1"]
 
     def test_tampered_certificate_detected(self, tmp_path):
         path = str(tmp_path / "catalog.ndjson")

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from gbcodex.cli import main
 
@@ -53,18 +54,19 @@ class TestDistance:
         assert code == 0
         assert "exact=3" in out
 
-    def test_interval_with_certificate(self, capsys):
+    def test_exact_with_certificate(self, capsys):
         code, out, _ = run_cli(capsys, "distance", "--alpha", "31", "--n", "74")
         assert code == 0
-        assert "upper=12" in out
+        assert "upper=12 exact=12 method=sandwich-closed" in out
         assert "certificate=[" in out and "(weight 12)" in out
 
     def test_budget_flags(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "distance", "--alpha", "12", "--n", "29", "--no-parity-refinement", "--kernel-cap", "0"
-        )
-        assert code == 0
-        assert "method=interval-only" in out
+        # the distance is fixed by the lattice, so no search budget is accepted
+        for flag in ("--kernel-cap=0", "--no-parity-refinement", "--certificate-slack=0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["distance", "--alpha", "12", "--n", "29", flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBound:

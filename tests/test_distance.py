@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from gbcodex import css
+from gbcodex import css, distance, gbcode, gf2matrix
 from gbcodex.distance import (
-    DistanceBudget,
     determine,
     reduced_pair_lower_bound,
     lattice_lower_bound,
@@ -14,7 +13,7 @@ from gbcodex.distance import (
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
 from gbcodex.torus_graph import EdgeVector
-from oracle_utils import scan_lambda2, scan_min_l1
+from oracle_utils import gb_check_rows, graphlike_min_logical, scan_lambda2, scan_min_l1
 
 
 class TestLatticeBound:
@@ -76,7 +75,7 @@ class TestUpperBoundCertificate:
             n = rng.randrange(2, 30)
             alpha = rng.randrange(1, n)
             w, _ = upper_bound_certificate(alpha, n)
-            assert w <= scan_min_l1(alpha, n)[0]
+            assert w == scan_min_l1(alpha, n)[0]
 
 
 class TestParityRefinedLower:
@@ -113,28 +112,19 @@ class TestDetermine:
         assert report.method == "sandwich-closed"
         assert not report.hypothesis_met
 
-    def test_parity_closes_n13(self):
-        report = determine(5, 13)
-        assert report.exact == 5
-        assert report.method == "sandwich-closed"
-        assert report.closed_by == "parity-refined"
-
     def test_theorem_closes_n50(self):
         report = determine(7, 50)
-        assert report.exact == 8
-        assert report.closed_by == "lattice-bound"
+        assert report.exact == 8 == report.lower_bound
 
-    def test_oracle_path(self):
-        report = determine(7, 25)
-        assert report.exact == 7
-        assert report.method == "oracle-confirmed"
-        assert report.z_side == "oracle-confirmed"
-
-    def test_interval_path(self):
-        report = determine(13, 34)
-        assert report.exact is None
-        assert report.method == "interval-only"
-        assert (report.guaranteed_lower, report.upper_bound) == (6, 8)
+    # Pairs where the Euclidean bound stays below the distance.
+    @pytest.mark.parametrize("alpha,n,lower,d", [(5, 13, 4, 5), (7, 25, 5, 7), (13, 34, 6, 8),
+                                                 (12, 29, 6, 7), (11, 61, 8, 11)])
+    def test_exact_above_euclidean_bound(self, alpha, n, lower, d):
+        report = determine(alpha, n)
+        assert (report.lower_bound, report.exact, report.upper_bound) == (lower, d, d)
+        assert report.method == "sandwich-closed"
+        h_x, h_z = gb_check_rows([0, 1], [0, alpha], n)
+        assert graphlike_min_logical(h_x, h_z) == d == graphlike_min_logical(h_z, h_x)
 
     def test_bounds_ordered_and_certificate_valid(self):
         rng = random.Random(113)
@@ -142,8 +132,8 @@ class TestDetermine:
             n = rng.randrange(2, 40)
             alpha = rng.randrange(1, n)
             report = determine(alpha, n)
-            assert report.guaranteed_lower <= report.upper_bound
-            assert len(report.certificate) == report.upper_bound
+            assert report.lower_bound <= report.exact == report.upper_bound
+            assert len(report.certificate) == report.exact == scan_min_l1(alpha, n)[0]
             code = build(canonical_spec(alpha, n))
             vec = EdgeVector.from_support(n, report.certificate)
             assert css.is_logical_x(code, vec.bits)
@@ -151,18 +141,25 @@ class TestDetermine:
     def test_deterministic(self):
         assert determine(12, 29) == determine(12, 29)
 
-    def test_budget_disables_refinement(self):
-        plain = determine(12, 29, DistanceBudget(use_parity_refinement=False, kernel_cap=0))
-        assert plain.parity_refined_lower is None
-        assert plain.method == "interval-only"
-        assert (plain.lower_bound, plain.upper_bound) == (6, 7)
+    def test_no_dense_algebra(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("determine reached the dense or parity path")
+
+        monkeypatch.setattr(gbcode, "build", forbidden)
+        monkeypatch.setattr(gf2matrix, "rank", forbidden)
+        monkeypatch.setattr(css, "min_weight_logical", forbidden)
+        monkeypatch.setattr(distance, "parity_refined_lower", forbidden)
+        assert determine(22, 97).exact == 13
 
     def test_exact_matches_oracle_on_small_sweep(self):
         for n in range(6, 16):
             for alpha in range(2, n - 1):
                 report = determine(alpha, n)
-                true_d = css.exhaustive_distance(build(canonical_spec(alpha, n)), "X")
-                if report.exact is not None:
-                    assert report.exact == true_d
-                else:
-                    assert report.guaranteed_lower <= true_d <= report.upper_bound
+                assert report.exact == css.exhaustive_distance(build(canonical_spec(alpha, n)), "X")
+
+    def test_exact_matches_graphlike_oracle_both_sides(self):
+        for n in range(2, 31):
+            for alpha in range(1, n):
+                h_x, h_z = gb_check_rows([0, 1], [0, alpha], n)
+                d = determine(alpha, n).exact
+                assert graphlike_min_logical(h_x, h_z) == d == graphlike_min_logical(h_z, h_x), (alpha, n)
