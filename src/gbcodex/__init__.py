@@ -15,7 +15,7 @@ from .arithmetic import (
     sqrt_minus_one_mod_prime_power,
 )
 from .catalog import CatalogEntry, analyze_length, sweep_catalog, verify_catalog, write_catalog
-from .css import CssCode, dimension, exhaustive_distance, is_logical_x, is_logical_z, min_weight_logical, new_css
+from .css import CssCode, dimension, exhaustive_distance, is_logical_x, min_weight_logical, new_css
 from .distance import (
     DistanceReport,
     determine,

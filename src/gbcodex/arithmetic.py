@@ -4,19 +4,15 @@ The lattice bound is strongest when n divides 1 + alpha^2, i.e. when alpha is
 a square root of -1 mod n.  Such a root exists exactly for n of the shape
 2^e * prod(p_i^{e_i}) with e <= 1 and every odd prime p_i = 1 mod 4; the full
 root set is assembled from the prime-power components by the Chinese
-remainder theorem.
+remainder theorem.  The roots of -1 mod an odd prime power are one pair
++-r, so the root set does not depend on how r is found: a deterministic scan
+for the least quadratic nonresidue, then a Hensel lift.
 """
 
 from __future__ import annotations
 
-import random
-
 from .gbcode import GbSpec
 from .gf2poly import BinaryPolynomial, reduce_mod_xn
-
-DEFAULT_SEED = 1
-
-_MAX_RANDOM_TRIES = 64
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -50,32 +46,18 @@ def is_admissible(n: int) -> bool:
     return True
 
 
-def sqrt_minus_one_mod_prime_power(p: int, eps: int = 1, seed: int = DEFAULT_SEED) -> list[int]:
+def sqrt_minus_one_mod_prime_power(p: int, eps: int = 1) -> list[int]:
     """Both residues r with r^2 = -1 mod p^eps, for a prime p = 1 mod 4.
 
-    A root mod p is a^((p-1)/4) for any quadratic nonresidue a; candidates are
-    drawn from a seeded generator with a deterministic scan as fallback, then
-    the root is Hensel-lifted to the requested exponent.
+    A root mod p is a^((p-1)/4) for the least quadratic nonresidue a; the
+    root is then Hensel-lifted to the requested exponent.
     """
     if p % 4 != 1:
         raise ValueError(f"p = {p} is not congruent to 1 mod 4")
     if eps < 1:
         raise ValueError("eps must be positive")
     exp = (p - 1) // 4
-    rng = random.Random(seed)
-    root = None
-    for _ in range(_MAX_RANDOM_TRIES):
-        a = rng.randrange(2, p)
-        r = pow(a, exp, p)
-        if r * r % p == p - 1:
-            root = r
-            break
-    if root is None:
-        for a in range(2, p):
-            r = pow(a, exp, p)
-            if r * r % p == p - 1:
-                root = r
-                break
+    root = next((r for r in (pow(a, exp, p) for a in range(2, p)) if r * r % p == p - 1), None)
     if root is None:
         raise ValueError(f"no square root of -1 modulo {p}")
 
@@ -87,7 +69,7 @@ def sqrt_minus_one_mod_prime_power(p: int, eps: int = 1, seed: int = DEFAULT_SEE
     return sorted((root, modulus - root))
 
 
-def sqrt_minus_one_all(n: int, seed: int = DEFAULT_SEED) -> list[int]:
+def sqrt_minus_one_all(n: int) -> list[int]:
     """All alpha in [1, n-1] with alpha^2 = -1 mod n, via CRT over the factorization.
 
     For admissible n > 2 there are 2^s of them, s the number of odd prime
@@ -102,7 +84,7 @@ def sqrt_minus_one_all(n: int, seed: int = DEFAULT_SEED) -> list[int]:
     residues = [(1, 1)]  # list of (value mod m, m)
     for p, e in factorize(n):
         m = p**e
-        component = [1] if p == 2 else sqrt_minus_one_mod_prime_power(p, e, seed)
+        component = [1] if p == 2 else sqrt_minus_one_mod_prime_power(p, e)
         combined = []
         for r0, m0 in residues:
             for r1 in component:

@@ -5,8 +5,11 @@ representative per mirror pair of square roots of -1, determines each exact
 distance (min-L1 of the attached lattice), and keeps the largest per n (ties
 broken toward the smaller alpha).  Entries serialize to newline-delimited
 JSON (full records, round-trippable) or to a flat CSV export; every numeric
-field is an exact integer.  ``verify`` recomputes min-L1 for every record of
-either format and rebuilds each JSON record's code as an independent check.
+field is an exact integer.  The JSON header records max_length and a seed,
+which is only a label: nothing in the sweep depends on it.  ``verify``
+recomputes the roots of -1 and min-L1 for every record of either format,
+requires the stored alpha to be the strongest root class, and rebuilds each
+JSON record's code as an independent check.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import arithmetic, css, gbcode
@@ -79,9 +80,9 @@ def classify_family(alpha: int, n: int) -> str:
     return TAG_NEW
 
 
-def analyze_length(n: int, seed: int = arithmetic.DEFAULT_SEED) -> CatalogEntry | None:
+def analyze_length(n: int) -> CatalogEntry | None:
     """Best catalog entry for one admissible n, or None when no root exists."""
-    roots = arithmetic.sqrt_minus_one_all(n, seed)
+    roots = arithmetic.sqrt_minus_one_all(n)
     if not roots:
         return None
     classes = sorted({min(a, n - a) for a in roots})
@@ -103,26 +104,10 @@ def analyze_length(n: int, seed: int = arithmetic.DEFAULT_SEED) -> CatalogEntry 
     )
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GBCODEX_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def sweep_catalog(max_length: int, seed: int = arithmetic.DEFAULT_SEED) -> list[CatalogEntry]:
+def sweep_catalog(max_length: int) -> list[CatalogEntry]:
     """All best-per-n entries with 2n <= max_length, sorted by (d, length, alpha)."""
-    lengths = [n for n in range(1, max_length // 2 + 1) if arithmetic.is_admissible(n)]
-    workers = _worker_count()
-    if workers > 1 and len(lengths) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyze_length, lengths, [seed] * len(lengths)))
-    else:
-        results = [analyze_length(n, seed) for n in lengths]
-    entries = [e for e in results if e is not None]
-    entries.sort(key=lambda e: (e.d, e.length, e.alpha))
-    return entries
+    results = (analyze_length(n) for n in range(1, max_length // 2 + 1) if arithmetic.is_admissible(n))
+    return sorted((e for e in results if e is not None), key=lambda e: (e.d, e.length, e.alpha))
 
 
 def entry_to_dict(entry: CatalogEntry) -> dict:
@@ -199,7 +184,7 @@ def write_catalog(
     path: str,
     entries: list[CatalogEntry],
     max_length: int,
-    seed: int = arithmetic.DEFAULT_SEED,
+    seed: int = 1,
     fmt: str = "json",
 ) -> None:
     if fmt == "json":
@@ -242,15 +227,26 @@ def _distance_problems(alpha: int, n: int, lower: int, upper: int, d: int, metho
     return problems
 
 
+def _root_problems(alpha: int, n: int) -> list[str]:
+    """alpha must be the root class of -1 mod n with the largest min-L1, ties to the smaller."""
+    roots = arithmetic.sqrt_minus_one_all(n) if n >= 1 and arithmetic.is_admissible(n) else []
+    if not roots:
+        return [f"n = {n} has no square root of -1 in [1, n - 1]"]
+    best = max({min(a, n - a) for a in roots}, key=lambda a: (min_l1(gb_lattice(a, n)).value, -a))
+    if alpha != best:
+        return [f"alpha {alpha} is not the strongest root of -1 mod {n} (expected {best})"]
+    return []
+
+
 def _verify_entry(data: dict) -> list[str]:
     """Recompute one JSON record's invariants; returns human-readable problems."""
-    problems = []
     n, alpha = data["n"], data["alpha"]
-    if not 1 <= alpha <= n - 1:
-        return [f"alpha {alpha} outside [1, {n - 1}]"]
-    for a in data["alphas"]:
-        if a * a % n != (n - 1) % n:
-            problems.append(f"claimed root {a} has {a}^2 != -1 mod {n}")
+    problems = _root_problems(alpha, n)
+    if problems:
+        return problems
+    roots = arithmetic.sqrt_minus_one_all(n)
+    if data["alphas"] != roots:
+        problems.append(f"alphas {data['alphas']} != the roots of -1 mod {n} {roots}")
     spec = gbcode.canonical_spec(alpha, n)
     code = gbcode.build(spec)  # raises if the pair were not orthogonal
     k = css.dimension(code)
@@ -287,8 +283,9 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     """Recheck every record of a written catalog.
 
     Returns (record count, problems); each problem names its line.  Every
-    record's distance columns are checked against a recomputed min-L1; JSON
-    catalogs also get the dense rebuild and the certificate recheck.
+    record's root choice and distance columns are checked against recomputed
+    roots of -1 and min-L1; JSON catalogs also get the root list, the dense
+    rebuild and the certificate recheck.
     """
     problems = []
     count = 0
@@ -328,6 +325,10 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                     lower, upper, d = int(row["lower"]), int(row["upper"]), int(row["d"])
                 except (TypeError, ValueError):
                     problems.append(f"line {lineno}: non-integer numeric field")
+                    continue
+                root_problems = _root_problems(alpha, n)
+                if root_problems:
+                    problems.extend(f"line {lineno}: {p}" for p in root_problems)
                     continue
                 if length != 2 * n:
                     problems.append(f"line {lineno}: length {length} != 2n")

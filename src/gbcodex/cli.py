@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import arithmetic, catalog, css, gbcode
+from . import catalog, css, gbcode
 from .distance import determine, reduced_pair_lower_bound
 from .gf2poly import parse_poly
 from .lattice import gb_lattice, min_l1, shortest_norm2
@@ -59,7 +59,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    entries = catalog.sweep_catalog(args.max_length, args.seed)
+    entries = catalog.sweep_catalog(args.max_length)
     path = args.output or f"catalog.{args.format}"
     catalog.write_catalog(path, entries, args.max_length, args.seed, fmt=args.format)
     print(f"{len(entries)} entries -> {path}")
@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-length", required=True, type=int)
     p.add_argument("--output", default=None, help="output path (default catalog.<format>)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=arithmetic.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=1,
+                   help="label recorded in the JSON header; it does not change any entry")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="recheck every record of a written catalog")

@@ -62,10 +62,6 @@ def is_logical_x(code: CssCode, v: int) -> bool:
     return gf2matrix.mat_vec(code.h_x, v) == 0 and not gf2matrix.row_space_contains(code.h_z, v)
 
 
-def is_logical_z(code: CssCode, v: int) -> bool:
-    return gf2matrix.mat_vec(code.h_z, v) == 0 and not gf2matrix.row_space_contains(code.h_x, v)
-
-
 def logical_space(code: CssCode, side: str = "X") -> tuple[list[int], list[int]]:
     """Split ker(side matrix) into a stabilizer basis and logical generators.
 

@@ -1,10 +1,11 @@
 """Generalized bicycle construction and weight-2 canonical forms.
 
 A GB code is built from two polynomials A, B modulo x^n - 1 through their
-circulants: h_x = [A | B], h_z = [B^T | A^T].  Circulants commute, so the
-pair is always a valid CSS code.  For generators of weight two, invertible
-exponent substitutions and generator swaps reduce any pair to the canonical
-shape (1 + x, 1 + x^alpha, n) without changing code parameters.
+circulants: h_x = [A | B], h_z = [B^T | A^T], where the transpose of a
+circulant is the circulant of the reciprocal polynomial p(x^-1).  Circulants
+commute, so the pair is always a valid CSS code.  For generators of weight
+two, invertible exponent substitutions and generator swaps reduce any pair to
+the canonical shape (1 + x, 1 + x^alpha, n) without changing code parameters.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class CanonicalW2:
 
     alpha: int
     n: int
-    mirrored: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= self.alpha <= self.n - 1:
@@ -61,10 +61,11 @@ def canonical_spec(alpha: int, n: int) -> GbSpec:
 
 def build(spec: GbSpec) -> CssCode:
     """Construct the CSS code; orthogonality is re-asserted by the validator."""
-    mat_a = gf2matrix.circulant(spec.a, spec.n)
-    mat_b = gf2matrix.circulant(spec.b, spec.n)
-    h_x = gf2matrix.hstack(mat_a, mat_b)
-    h_z = gf2matrix.hstack(gf2matrix.transpose(mat_b), gf2matrix.transpose(mat_a))
+    n = spec.n
+    h_x = gf2matrix.hstack(gf2matrix.circulant(spec.a, n), gf2matrix.circulant(spec.b, n))
+    # x^(2n-1) = x^-1 mod x^n - 1, and 2n - 1 >= 1 keeps n = 1 valid.
+    a_rev, b_rev = (gf2poly.substitute_power(p, 2 * n - 1, n) for p in (spec.a, spec.b))
+    h_z = gf2matrix.hstack(gf2matrix.circulant(b_rev, n), gf2matrix.circulant(a_rev, n))
     return css.new_css(h_x, h_z)
 
 
@@ -92,16 +93,13 @@ def shift_normalize(spec: GbSpec) -> GbSpec:
     return GbSpec(shifted[0], shifted[1], spec.n)
 
 
-def canonicalize_w2(u: int, v: int, n: int, reduce_mirror: bool = False) -> CanonicalW2:
+def canonicalize_w2(u: int, v: int, n: int) -> CanonicalW2:
     """Reduce the pair (1 + x^u, 1 + x^v) mod x^n - 1 to canonical (1 + x, 1 + x^alpha).
 
     Substituting x -> x^k for k invertible mod n preserves code parameters,
     which gives alpha = v * u^{-1} mod n.  If u shares a factor with n but v
     does not, the generators are swapped first; if neither exponent is
     invertible the reduction is refused rather than guessed.
-
-    With ``reduce_mirror=True`` the symmetry alpha <-> n - alpha is applied to
-    bring alpha below n/2, and the flag is recorded on the result.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -118,11 +116,7 @@ def canonicalize_w2(u: int, v: int, n: int, reduce_mirror: bool = False) -> Cano
             f"cannot reduce (u={u}, v={v}) to 1 + x^alpha form: "
             f"neither exponent is invertible modulo {n}"
         )
-    mirrored = False
-    if reduce_mirror and alpha > n - alpha:
-        alpha = n - alpha
-        mirrored = True
-    return CanonicalW2(alpha, n, mirrored)
+    return CanonicalW2(alpha, n)
 
 
 def weight2_exponents(spec: GbSpec) -> tuple[int, int] | None:

@@ -27,10 +27,6 @@ class BitMatrix:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.cols)
-
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 

@@ -37,9 +37,6 @@ class BinaryPolynomial:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.mask.bit_length()) if (self.mask >> i) & 1)
 
-    def coefficient(self, i: int) -> int:
-        return (self.mask >> i) & 1 if i >= 0 else 0
-
     @classmethod
     def from_support(cls, exponents) -> BinaryPolynomial:
         """Build from an iterable of exponents; repeats cancel in pairs."""
@@ -59,19 +56,11 @@ class BinaryPolynomial:
     def __add__(self, other: BinaryPolynomial) -> BinaryPolynomial:
         return add(self, other)
 
-    def __mul__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        return mul(self, other)
-
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"BinaryPolynomial({format_poly(self)!r})"
-
-
-ZERO = BinaryPolynomial(0)
-ONE = BinaryPolynomial(1)
-X = BinaryPolynomial(2)
 
 
 def add(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:

@@ -62,12 +62,13 @@ class TestPrimePowerRoots:
                 for r in sqrt_minus_one_mod_prime_power(p, eps):
                     assert r * r % m == m - 1
 
-    def test_seed_does_not_change_result(self):
-        assert sqrt_minus_one_mod_prime_power(97, 2, seed=1) == sqrt_minus_one_mod_prime_power(97, 2, seed=999)
-
     def test_wrong_residue_class_rejected(self):
         with pytest.raises(ValueError):
             sqrt_minus_one_mod_prime_power(7)
+        # 9 and 21 are 1 mod 4 but not prime: the nonresidue scan finds no root.
+        for p in (9, 21):
+            with pytest.raises(ValueError, match="no square root"):
+                sqrt_minus_one_mod_prime_power(p)
 
 
 class TestAllRoots:

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from gbcodex.catalog import (
 )
 from gbcodex.distance import determine
 from gbcodex.gbcode import build, canonical_spec
-from gbcodex.lattice import ceil_sqrt
+from gbcodex.lattice import ceil_sqrt, gauss_reduce, gb_lattice, min_l1, shortest_norm2
 from gbcodex.torus_graph import EdgeVector
 from oracle_utils import gb_check_rows, graphlike_min_logical, scan_min_l1, scan_roots_of_minus_one
 
@@ -69,6 +70,15 @@ def test_graphlike_oracle_pins_weaker_root_n65():
     h_x, h_z = gb_check_rows([0, 1], [0, 8], 65)
     assert graphlike_min_logical(h_x, h_z) == 9 == graphlike_min_logical(h_z, h_x)
     assert determine(8, 65).exact == 9
+
+
+def weak_root_entry_65():
+    """A self-consistent record for n = 65 at the weaker root class alpha = 8 (d = 9, not 11)."""
+    lat = gb_lattice(8, 65)
+    reduced, l1 = gauss_reduce(lat), min_l1(lat)
+    return replace(analyze_length(65), alpha=8, report=determine(8, 65), lambda2=shortest_norm2(lat),
+                   min_l1=l1.value, basis=(reduced.b1, reduced.b2), t_witness=l1.witness,
+                   tag=classify_family(8, 65))
 
 
 @pytest.fixture(scope="module")
@@ -229,22 +239,40 @@ class TestVerify:
         count, problems = verify_catalog(path)
         assert any("corrupt JSON" in p for p in problems)
 
+    def test_weaker_root_json_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, [weak_root_entry_65()], 130)
+        count, problems = verify_catalog(path)
+        assert count == 1
+        assert problems == ["line 2: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"]
+
+    def test_weaker_root_csv_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.csv")
+        write_catalog(path, [weak_root_entry_65()], 130, fmt="csv")
+        assert open(path).read().splitlines()[1].startswith("130,2,9,65,8,")
+        count, problems = verify_catalog(path)
+        assert count == 1
+        assert problems == ["line 2: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"]
+
+    def test_missing_root_in_alphas_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(30), 30)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        record = json.loads(lines[2])
+        assert record["n"] == 5 and record["alphas"] == [2, 3]
+        record["alphas"] = [2]
+        lines[2] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        count, problems = verify_catalog(path)
+        assert problems == ["line 3: alphas [2] != the roots of -1 mod 5 [2, 3]"]
+
     def test_empty_catalog_is_zero_records(self, tmp_path):
         path = str(tmp_path / "empty.ndjson")
         write_catalog(path, [], 2)
         count, problems = verify_catalog(path)
         assert (count, problems) == (0, [])
-
-
-class TestWorkerEnv:
-    def test_parallel_sweep_matches_serial(self, monkeypatch):
-        serial = sweep_catalog(40)
-        monkeypatch.setenv("GBCODEX_THREADS", "2")
-        assert sweep_catalog(40) == serial
-
-    def test_garbage_env_value_ignored(self, monkeypatch):
-        monkeypatch.setenv("GBCODEX_THREADS", "lots")
-        assert [(e.n, e.d) for e in sweep_catalog(12)] == [(2, 2), (5, 3)]
 
 
 class TestCertificatesRecheck:

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gbcodex.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +108,15 @@ class TestSweepAndVerify:
         run_cli(capsys, "sweep", "--max-length", "40", "--output", b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_seed_only_labels_header(self, capsys, tmp_path):
+        a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
+        run_cli(capsys, "sweep", "--max-length", "60", "--seed", "1", "--output", a)
+        run_cli(capsys, "sweep", "--max-length", "60", "--seed", "7", "--output", b)
+        lines_a, lines_b = open(a).read().splitlines(), open(b).read().splitlines()
+        assert lines_a[0] != lines_b[0]
+        assert json.loads(lines_b[0])["seed"] == 7
+        assert lines_a[1:] == lines_b[1:] and len(lines_a) == 9
+
     def test_verify_flags_tampering(self, capsys, tmp_path):
         path = str(tmp_path / "cat.ndjson")
         run_cli(capsys, "sweep", "--max-length", "30", "--output", path)
@@ -129,19 +142,15 @@ class TestSweepAndVerify:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "gbcodex", "distance", "--alpha", "2", "--n", "5"],
-            capture_output=True,
-            text=True,
-        )
+    def run_module(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "gbcodex", *argv], capture_output=True, text=True, env=env)
+
+    def test_module_invocation(self):
+        result = self.run_module("distance", "--alpha", "2", "--n", "5")
         assert result.returncode == 0
         assert "exact=3" in result.stdout
 
     def test_usage_error_is_exit_2(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "gbcodex", "distance", "--alpha", "2"],
-            capture_output=True,
-            text=True,
-        )
+        result = self.run_module("distance", "--alpha", "2")
         assert result.returncode == 2

@@ -13,7 +13,7 @@ from gbcodex.gbcode import (
     shift_normalize,
     weight2_exponents,
 )
-from gbcodex.gf2matrix import is_zero, mat_mul, transpose
+from gbcodex.gf2matrix import circulant, hstack, is_zero, mat_mul, transpose
 from gbcodex.gf2poly import BinaryPolynomial, parse_poly
 
 
@@ -43,6 +43,16 @@ class TestBuild:
             spec = GbSpec(BinaryPolynomial(rng.getrandbits(n)), BinaryPolynomial(rng.getrandbits(n)), n)
             code = build(spec)
             assert is_zero(mat_mul(code.h_x, transpose(code.h_z)))
+
+    def test_h_z_is_transposed_circulants(self):
+        rng = random.Random(43)
+        specs = [GbSpec(P("1"), P("0"), 1), GbSpec(P("0"), P("0"), 1), GbSpec(P("0"), P("1+x^2"), 4)]
+        for _ in range(100):
+            n = rng.randrange(1, 20)
+            specs.append(GbSpec(BinaryPolynomial(rng.getrandbits(n)), BinaryPolynomial(rng.getrandbits(n)), n))
+        for spec in specs:
+            a, b = circulant(spec.a, spec.n), circulant(spec.b, spec.n)
+            assert build(spec).h_z == hstack(transpose(b), transpose(a))
 
 
 class TestDimensionFormula:
@@ -127,11 +137,6 @@ class TestCanonicalizeW2:
     def test_zero_exponent_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             canonicalize_w2(5, 10, 5)
-
-    def test_mirror_reduction_recorded(self):
-        c = canonicalize_w2(1, 7, 10, reduce_mirror=True)
-        assert c == CanonicalW2(3, 10, mirrored=True)
-        assert canonicalize_w2(1, 3, 10, reduce_mirror=True) == CanonicalW2(3, 10, mirrored=False)
 
     def test_mirror_pairs_have_equal_parameters(self):
         for n in range(5, 12):
