@@ -8,8 +8,9 @@ JSON (full records, round-trippable) or to a flat CSV export; every numeric
 field is an exact integer.  The JSON header records max_length and a seed,
 which is only a label: nothing in the sweep depends on it.  ``verify``
 recomputes the roots of -1 and min-L1 for every record of either format,
-requires the stored alpha to be the strongest root class, and rebuilds each
-JSON record's code as an independent check.
+requires the stored alpha to be the strongest root class, and rechecks each
+JSON record's k by the gcd formula and its certificate on the torus graph
+(zero boundary, odd overlap with a dual logical), with no dense algebra.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import arithmetic, css, gbcode
+from . import arithmetic, gbcode
 from .distance import DistanceReport, determine
 from .lattice import Vec, ceil_sqrt, gauss_reduce, gb_lattice, min_l1, shortest_norm2
-from .torus_graph import EdgeVector
+from .torus_graph import EdgeVector, TorusGraph
 
 SCHEMA_NAME = "gb-catalog"
 SCHEMA_VERSION = 2
@@ -247,11 +248,9 @@ def _verify_entry(data: dict) -> list[str]:
     roots = arithmetic.sqrt_minus_one_all(n)
     if data["alphas"] != roots:
         problems.append(f"alphas {data['alphas']} != the roots of -1 mod {n} {roots}")
-    spec = gbcode.canonical_spec(alpha, n)
-    code = gbcode.build(spec)  # raises if the pair were not orthogonal
-    k = css.dimension(code)
-    if k != data["k"] or k != gbcode.dimension_formula(spec):
-        problems.append(f"k mismatch: stored {data['k']}, rank-based {k}")
+    k = gbcode.dimension_formula(gbcode.canonical_spec(alpha, n))
+    if k != data["k"]:
+        problems.append(f"k mismatch: stored {data['k']}, formula {k}")
     if data["length"] != 2 * n:
         problems.append(f"length {data['length']} != 2n")
     lat = gb_lattice(alpha, n)
@@ -274,7 +273,7 @@ def _verify_entry(data: dict) -> list[str]:
         vec = EdgeVector.from_support(n, cert)
         if vec.weight != upper:
             problems.append(f"certificate weight {vec.weight} != upper bound {upper}")
-        if not css.is_logical_x(code, vec.bits):
+        if not TorusGraph(n, alpha).is_logical(vec.bits):
             problems.append("certificate is not a logical operator")
     return problems
 
@@ -284,12 +283,19 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
 
     Returns (record count, problems); each problem names its line.  Every
     record's root choice and distance columns are checked against recomputed
-    roots of -1 and min-L1; JSON catalogs also get the root list, the dense
-    rebuild and the certificate recheck.
+    roots of -1 and min-L1; JSON catalogs also get the root list, k by the gcd
+    formula and the certificate by its boundary and a dual-logical parity on
+    the torus graph.
     """
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return 0, [f"byte {exc.start}: not UTF-8 text ({exc.reason})"]
     problems = []
     count = 0
-    with open(path, "r", encoding="utf-8") as f:
+    with io.StringIO(text, newline=None) as f:
         first = f.readline()
         f.seek(0)
         if first.lstrip().startswith("{"):
@@ -313,17 +319,25 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                 except (KeyError, TypeError, ValueError) as exc:
                     problems.append(f"line {lineno}: malformed record ({exc})")
         else:
-            reader = csv.DictReader(f)
-            if reader.fieldnames != CSV_COLUMNS:
-                problems.append(f"line 1: unexpected CSV columns {reader.fieldnames}")
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                problems.append(f"line 1: unexpected CSV columns {header}")
                 return 0, problems
-            for lineno, row in enumerate(reader, start=2):
+            for fields in reader:
+                if not fields:
+                    continue
+                lineno = reader.line_num
                 count += 1
+                if len(fields) != len(CSV_COLUMNS):
+                    problems.append(f"line {lineno}: expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
+                    continue
+                row = dict(zip(CSV_COLUMNS, fields))
                 try:
                     n, alpha = int(row["n"]), int(row["alpha"])
                     length, k = int(row["length"]), int(row["k"])
                     lower, upper, d = int(row["lower"]), int(row["upper"]), int(row["d"])
-                except (TypeError, ValueError):
+                except ValueError:
                     problems.append(f"line {lineno}: non-integer numeric field")
                     continue
                 root_problems = _root_problems(alpha, n)

@@ -3,7 +3,9 @@
 Vertices are Z/nZ.  Edge index k < n is the unit edge {k, k+1}; index n+k is
 the long edge {k, k+alpha}.  With that indexing the vertex-edge incidence
 matrix coincides bit-for-bit with h_x = [Circ(1+x) | Circ(1+x^alpha)], faces
-are the rows of h_z, and closed walks are kernel vectors of h_x.
+are the rows of h_z, and closed walks are kernel vectors of h_x.  Both
+products h_x v and h_z v are two cyclic shifts of each half of the edge bits,
+so checking that a cycle is a logical operator costs O(n) word operations.
 
 Edges are tracked by index, so the construction stays valid for the
 degenerate values alpha in {1, n-1} where the simple graph would collapse to
@@ -175,6 +177,50 @@ class TorusGraph:
             bits ^= 1 << (n + (v if step > 0 else (v - a) % n))
             v = (v + step * a) % n
         return EdgeVector(n, bits)
+
+    def _rot(self, x: int, s: int) -> int:
+        """Cyclic shift of an n-bit vertex vector: bit p moves to p + s mod n."""
+        n = self.n
+        s %= n
+        return ((x << s) | (x >> (n - s))) & ((1 << n) - 1)
+
+    def _split(self, bits: int) -> tuple[int, int]:
+        if bits < 0 or bits >> (2 * self.n):
+            raise ValueError("edge bits outside [0, 2n)")
+        return bits & ((1 << self.n) - 1), bits >> self.n
+
+    def boundary(self, bits: int) -> int:
+        """h_x v: bit p is the parity of the edges of v at vertex p."""
+        u, w = self._split(bits)
+        return u ^ self._rot(u, 1) ^ w ^ self._rot(w, self.alpha)
+
+    def face_parities(self, bits: int) -> int:
+        """h_z v: bit p is the parity of v on face p."""
+        u, w = self._split(bits)
+        return u ^ self._rot(u, -self.alpha) ^ w ^ self._rot(w, -1)
+
+    def dual_logicals(self) -> tuple[int, int]:
+        """The edge sets crossing the torus's two cuts, both in ker(h_z).
+
+        Lift vertex v to (v, 0); a unit step is (1, 0) and a long step (0, 1),
+        so a closed walk lifts to c1 (n, 0) + c2 (-alpha, 1) in L.  The first
+        mask (the edges that wrap past n - 1) reads c1 mod 2, the second (all
+        long edges) reads c2 mod 2.
+        """
+        n, a = self.n, self.alpha
+        wrap = (1 << (n - 1)) | ((((1 << a) - 1) << (n - a)) << n)
+        return wrap, ((1 << n) - 1) << n
+
+    def is_logical(self, bits: int) -> bool:
+        """True iff bits is a cycle that is not a sum of faces.
+
+        Each mask used lies in ker(h_z), so an odd overlap with it proves the
+        cycle is not a sum of faces; the two masks read a cycle's class in
+        L / 2L, so every nontrivial cycle meets one of them oddly.
+        """
+        if self.boundary(bits):
+            return False
+        return any((bits & m).bit_count() & 1 and not self.face_parities(m) for m in self.dual_logicals())
 
     def _h_z(self) -> BitMatrix:
         return BitMatrix(tuple(self.face(p).bits for p in range(self.n)), 2 * self.n)

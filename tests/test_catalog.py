@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from gbcodex import css
+from gbcodex import css, gbcode, gf2matrix
 from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import (
     CSV_COLUMNS,
@@ -22,7 +22,7 @@ from gbcodex.catalog import (
 from gbcodex.distance import determine
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt, gauss_reduce, gb_lattice, min_l1, shortest_norm2
-from gbcodex.torus_graph import EdgeVector
+from gbcodex.torus_graph import EdgeVector, TorusGraph
 from oracle_utils import gb_check_rows, graphlike_min_logical, scan_min_l1, scan_roots_of_minus_one
 
 # Best representative per circulant size, recomputed here from first
@@ -267,6 +267,54 @@ class TestVerify:
             f.write("\n".join(lines) + "\n")
         count, problems = verify_catalog(path)
         assert problems == ["line 3: alphas [2] != the roots of -1 mod 5 [2, 3]"]
+
+    def test_verify_uses_no_dense_algebra(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(200), 200)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("dense GF(2) algebra called during verify")
+
+        for module, name in [(gbcode, "build"), (css, "dimension"), (css, "is_logical_x"),
+                             (gf2matrix, "rref"), (gf2matrix, "transpose")]:
+            monkeypatch.setattr(module, name, boom)
+        assert verify_catalog(path) == (22, [])
+
+    def test_face_certificate_rejected(self, tmp_path):
+        # a trivial cycle of the right weight must not pass as a logical operator
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(60), 60)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        idx = next(i for i, line in enumerate(lines[1:], start=1) if json.loads(line)["n"] == 10)
+        record = json.loads(lines[idx])
+        assert (record["alpha"], record["d"]) == (3, 4)
+        record["certificate"] = sorted(TorusGraph(10, 3).face(0).support())
+        lines[idx] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        count, problems = verify_catalog(path)
+        assert problems == [f"line {idx + 1}: certificate is not a logical operator"]
+
+    def test_csv_extra_field_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.csv")
+        with open(path, "w") as f:
+            f.write(",".join(CSV_COLUMNS) + "\n10,2,3,5,2,3,3,sandwich-closed,junk\n")
+        assert verify_catalog(path) == (1, ["line 2: expected 8 fields, got 9"])
+
+    def test_csv_short_row_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.csv")
+        with open(path, "w") as f:
+            f.write(",".join(CSV_COLUMNS) + "\n10,2,3,5,2,3,3\n")
+        assert verify_catalog(path) == (1, ["line 2: expected 8 fields, got 7"])
+
+    def test_non_utf8_catalog_is_a_problem(self, tmp_path):
+        path = str(tmp_path / "catalog.ndjson")
+        with open(path, "wb") as f:
+            f.write(b"\xff\xfe{}\n")
+        count, problems = verify_catalog(path)
+        assert count == 0
+        assert problems == ["byte 0: not UTF-8 text (invalid start byte)"]
 
     def test_empty_catalog_is_zero_records(self, tmp_path):
         path = str(tmp_path / "empty.ndjson")

@@ -136,6 +136,13 @@ class TestSweepAndVerify:
         assert code == 0
         assert "0 records" in out
 
+    def test_verify_non_utf8_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "cat.ndjson"
+        path.write_bytes(b"\xff\xfe\x00\x00")
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert "not UTF-8" in err
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.ndjson"))
         assert code == 1

@@ -4,7 +4,7 @@ import pytest
 
 from gbcodex import css
 from gbcodex.gbcode import build, canonical_spec
-from gbcodex.gf2matrix import mat_vec, row_space_contains
+from gbcodex.gf2matrix import kernel_basis, mat_vec, row_space_contains
 from gbcodex.torus_graph import EdgeVector, TorusGraph, Walk
 
 
@@ -178,3 +178,52 @@ class TestSumOfFaces:
             for _ in range(20):
                 v = rng.getrandbits(2 * n)
                 assert g.is_sum_of_faces(EdgeVector(n, v)) == row_space_contains(code.h_z, v)
+
+
+def all_pairs(max_n=30):
+    """Every 1 <= alpha < n, 2 <= n <= max_n, with alpha in {1, n-1} included."""
+    return [(alpha, n) for n in range(2, max_n + 1) for alpha in range(1, n)]
+
+
+class TestEdgeBitChecks:
+    def test_boundary_and_face_parities_are_mat_vec(self):
+        rng = random.Random(101)
+        for alpha, n in all_pairs():
+            g, code = graph_and_code(alpha, n)
+            for _ in range(4):
+                v = rng.getrandbits(2 * n)
+                assert g.boundary(v) == mat_vec(code.h_x, v)
+                assert g.face_parities(v) == mat_vec(code.h_z, v)
+
+    def test_dual_logicals_lie_in_ker_h_z(self):
+        for alpha, n in all_pairs():
+            g, code = graph_and_code(alpha, n)
+            for m in g.dual_logicals():
+                assert g.face_parities(m) == 0 == mat_vec(code.h_z, m)
+
+    def test_is_logical_matches_dense_check(self):
+        rng = random.Random(103)
+        seen = set()
+        for alpha, n in all_pairs():
+            g, code = graph_and_code(alpha, n)
+            kernel = kernel_basis(code.h_x)
+            for _ in range(4):
+                combo = 0
+                for b in kernel:
+                    if rng.getrandbits(1):
+                        combo ^= b
+                for v in (rng.getrandbits(2 * n), combo):
+                    assert g.is_logical(v) == css.is_logical_x(code, v)
+                    seen.add(g.is_logical(v))
+        assert seen == {True, False}
+
+    def test_faces_and_staircase(self):
+        g = TorusGraph(10, 3)
+        assert g.boundary(g.face(0).bits) == 0
+        assert not g.is_logical(g.face(0).bits)
+        assert not g.is_logical((g.face(2) ^ g.face(7)).bits)
+        assert g.is_logical(g.staircase((1, 3)).bits)
+
+    def test_out_of_range_bits_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            TorusGraph(5, 2).boundary(1 << 10)
