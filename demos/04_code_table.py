@@ -2,11 +2,13 @@
 
 An admissible circulant size factors as 2^e times primes congruent to 1 mod
 4 (e at most 1); exactly these n admit alpha with alpha^2 = -1 mod n, which
-makes the lattice bound scale as sqrt(n).  For each n the sweep tries one
-alpha per mirror pair and keeps the one with the largest exact distance.
+makes the lattice bound scale as sqrt(n).  For each n the sweep ranks the
+mirror pairs of roots by min-L1, which is the exact distance, and keeps the
+strongest; the family column names the grid families it recovers.
 """
 
 from gbcodex import sweep_catalog
+from gbcodex.catalog import classify_family
 
 
 def main():
@@ -16,7 +18,7 @@ def main():
         r = e.report
         bounds = f"{r.lower_bound} <= {r.exact}"
         code = f"[[{e.length}, {e.k}, {e.d}]]"
-        print(f"{code:>14} {e.n:>4} {e.alpha:>5} {bounds:>9} {r.method:<18} {e.tag:<17}")
+        print(f"{code:>14} {e.n:>4} {e.alpha:>5} {bounds:>9} {r.method:<18} {classify_family(e.alpha, e.n):<17}")
     print()
     print(f"{len(entries)} codes; every d is the weight of an explicitly verified logical operator")
     print("and equals the minimal L1 norm of the lattice, so every d is exact")

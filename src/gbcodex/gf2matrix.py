@@ -30,9 +30,6 @@ class BitMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.rows]
-
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> BitMatrix:
         cols = len(rows[0]) if rows else 0

@@ -82,22 +82,15 @@ def mul(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:
     return BinaryPolynomial(acc)
 
 
-def divmod_poly(p: BinaryPolynomial, q: BinaryPolynomial) -> tuple[BinaryPolynomial, BinaryPolynomial]:
-    """Quotient and remainder of p by q; q must be nonzero."""
+def mod_poly(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:
+    """Remainder of p by q; q must be nonzero."""
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     a, b = p.mask, q.mask
     dq = b.bit_length() - 1
-    quo = 0
     while a.bit_length() - 1 >= dq and a:
-        shift = (a.bit_length() - 1) - dq
-        a ^= b << shift
-        quo ^= 1 << shift
-    return BinaryPolynomial(quo), BinaryPolynomial(a)
-
-
-def mod_poly(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:
-    return divmod_poly(p, q)[1]
+        a ^= b << ((a.bit_length() - 1) - dq)
+    return BinaryPolynomial(a)
 
 
 def gcd(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:

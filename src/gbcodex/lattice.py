@@ -61,14 +61,6 @@ def gb_lattice(alpha: int, n: int) -> Lattice2D:
     return Lattice2D((n, 0), (-alpha, 1))
 
 
-def contains(lat: Lattice2D, t: Vec) -> bool:
-    """Membership by solving the integer coordinates with Cramer's rule."""
-    det = lat._signed_det()
-    c1 = t[0] * lat.b2[1] - t[1] * lat.b2[0]
-    c2 = lat.b1[0] * t[1] - lat.b1[1] * t[0]
-    return c1 % det == 0 and c2 % det == 0
-
-
 def _sign_normalize(v: Vec) -> Vec:
     if v[0] < 0 or (v[0] == 0 and v[1] < 0):
         return (-v[0], -v[1])

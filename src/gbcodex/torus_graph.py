@@ -150,9 +150,6 @@ class TorusGraph:
             v = (v + s) % n
         return EdgeVector(n, bits)
 
-    def walk_end(self, walk: Walk) -> int:
-        return (walk.start + sum(walk.steps)) % self.n
-
     def staircase(self, t: tuple[int, int], start: int = 0) -> EdgeVector:
         """Realize a lattice displacement: |t.x| unit steps then |t.y| long steps.
 

@@ -39,6 +39,11 @@ def long_divides(d_mask: int, p_mask: int) -> bool:
     return r == 0
 
 
+def bit_rows_to_lists(m) -> list[list[int]]:
+    """Expand the bit-packed rows of m (bit j = column j) into explicit 0/1 lists."""
+    return [[(r >> j) & 1 for j in range(m.cols)] for r in m.rows]
+
+
 def list_rank_gf2(rows: list[list[int]]) -> int:
     """Gaussian elimination on explicit 0/1 lists."""
     mat = [row[:] for row in rows]
@@ -114,6 +119,15 @@ def scan_lambda2(alpha: int, n: int) -> int:
                 if best is None or v < best:
                     best = v
     return best
+
+
+def lattice_contains(lat, t: tuple[int, int]) -> bool:
+    """Membership in the lattice spanned by lat.b1, lat.b2: Cramer's rule gives integer coordinates."""
+    b1, b2 = lat.b1, lat.b2
+    det = b1[0] * b2[1] - b1[1] * b2[0]
+    c1 = t[0] * b2[1] - t[1] * b2[0]
+    c2 = b1[0] * t[1] - b1[1] * t[0]
+    return c1 % det == 0 and c2 % det == 0
 
 
 def box_points(bound: int):

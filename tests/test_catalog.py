@@ -1,27 +1,26 @@
 import csv
 import json
-from dataclasses import replace
 
 import pytest
 
-from gbcodex import css, gbcode, gf2matrix
+from gbcodex import arithmetic, catalog, css, distance, gbcode, gf2matrix
 from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import (
     CSV_COLUMNS,
+    CatalogEntry,
     analyze_length,
     classify_family,
-    entry_from_dict,
     entry_to_dict,
-    read_catalog_json,
     render_csv,
     render_json,
+    strongest_root,
     sweep_catalog,
     verify_catalog,
     write_catalog,
 )
 from gbcodex.distance import determine
 from gbcodex.gbcode import build, canonical_spec
-from gbcodex.lattice import ceil_sqrt, gauss_reduce, gb_lattice, min_l1, shortest_norm2
+from gbcodex.lattice import ceil_sqrt
 from gbcodex.torus_graph import EdgeVector, TorusGraph
 from oracle_utils import gb_check_rows, graphlike_min_logical, scan_min_l1, scan_roots_of_minus_one
 
@@ -74,11 +73,20 @@ def test_graphlike_oracle_pins_weaker_root_n65():
 
 def weak_root_entry_65():
     """A self-consistent record for n = 65 at the weaker root class alpha = 8 (d = 9, not 11)."""
-    lat = gb_lattice(8, 65)
-    reduced, l1 = gauss_reduce(lat), min_l1(lat)
-    return replace(analyze_length(65), alpha=8, report=determine(8, 65), lambda2=shortest_norm2(lat),
-                   min_l1=l1.value, basis=(reduced.b1, reduced.b2), t_witness=l1.witness,
-                   tag=classify_family(8, 65))
+    return CatalogEntry(65, 8, determine(8, 65))
+
+
+def edit_record(path, n, edit):
+    """Apply edit to the JSON record for n in place; returns that record's line number."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    idx = next(i for i, line in enumerate(lines[1:], start=1) if json.loads(line)["n"] == n)
+    record = json.loads(lines[idx])
+    edit(record)
+    lines[idx] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return idx + 1
 
 
 @pytest.fixture(scope="module")
@@ -113,12 +121,12 @@ class TestSweep:
     def test_independent_min_l1_recomputation(self, entries_200):
         for e in entries_200:
             value, _ = scan_min_l1(e.alpha, e.n)
-            assert e.min_l1 == value
+            assert entry_to_dict(e)["min_l1"] == value
             assert e.d <= value
 
     def test_alphas_field_lists_all_roots(self, entries_200):
         for e in entries_200:
-            assert list(e.alphas) == sqrt_minus_one_all(e.n)
+            assert entry_to_dict(e)["alphas"] == sqrt_minus_one_all(e.n)
 
     def test_multi_class_sizes_pick_strongest_lower(self):
         # n = 65 has root classes {8, 18} with distances 9 and 11.
@@ -128,9 +136,23 @@ class TestSweep:
         entry = analyze_length(85)
         assert (entry.alpha, entry.d, entry.report.exact) == (13, 13, 13)
         assert determine(38, 85).exact == 11
+        assert (strongest_root(65), strongest_root(85)) == (18, 13)
+        assert strongest_root(1) is None and strongest_root(3) is None
+
+    def test_one_determine_call_per_row(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, n):
+            calls.append((alpha, n))
+            return determine(alpha, n)
+
+        monkeypatch.setattr(catalog, "determine", counted)
+        entries = sweep_catalog(200)
+        assert len(calls) == len(entries) == 22
+        assert sorted(calls) == sorted((e.alpha, e.n) for e in entries)
 
     def test_family_tags(self, entries_200):
-        tags = {e.n: e.tag for e in entries_200}
+        tags = {e.n: entry_to_dict(e)["tag"] for e in entries_200}
         for n in (5, 13, 25, 41, 61, 85):
             assert tags[n] == "optimized-kitaev"
         assert tags[2] == "new" and tags[74] == "new"
@@ -142,17 +164,24 @@ class TestSweep:
 
 
 class TestSerialization:
-    def test_entry_roundtrip(self, entries_200):
+    def test_lattice_fields_agree_with_determine(self, entries_200):
+        # the writer takes every field but the certificate from the lattice, not the report
         for e in entries_200:
-            assert entry_from_dict(json.loads(json.dumps(entry_to_dict(e)))) == e
+            d, r = entry_to_dict(e), e.report
+            assert (d["n"], d["alpha"], d["length"], d["k"]) == (r.n, r.alpha, r.length, r.k)
+            assert d["d"] == d["upper"] == d["exact"] == d["min_l1"] == r.upper_bound == r.exact
+            assert (d["lower"], d["hypothesis_met"], d["method"]) == (r.lower_bound, r.hypothesis_met, r.method)
+            assert d["certificate"] == list(r.certificate)
 
     def test_json_file_roundtrip(self, entries_200, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
         write_catalog(path, entries_200, 200)
-        header, back = read_catalog_json(path)
-        assert header["schema"] == "gb-catalog"
-        assert header["max_length"] == 200
-        assert back == entries_200
+        with open(path) as f:
+            text = f.read()
+        assert text == render_json(entries_200, 200, 1)
+        header = json.loads(text.splitlines()[0])
+        assert header == {"schema": "gb-catalog", "version": 2, "max_length": 200, "seed": 1}
+        assert verify_catalog(path) == (22, [])
 
     def test_no_floats_persisted(self, entries_200):
         text = render_json(entries_200, 200, 1)
@@ -205,7 +234,7 @@ class TestVerify:
             writer.writerows(rows)
         count, problems = verify_catalog(path)
         assert count == 8
-        assert len(problems) == 1 and problems[0].startswith("line 5: d ")
+        assert problems == ["line 5: d 6 != recomputed 5", "line 5: upper 6 != recomputed 5"]
 
     def test_old_schema_version_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
@@ -257,16 +286,65 @@ class TestVerify:
     def test_missing_root_in_alphas_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
         write_catalog(path, sweep_catalog(30), 30)
+
+        def drop_root(record):
+            assert record["alphas"] == [2, 3]
+            record["alphas"] = [2]
+
+        assert edit_record(path, 5, drop_root) == 3
+        count, problems = verify_catalog(path)
+        assert problems == ["line 3: alphas [2] != recomputed [2,3]"]
+
+    # n = 13 is line 5 of the length-60 catalog:
+    # alpha 5, basis [[2,-3],[3,2]], t_witness [-3,-2], tag optimized-kitaev.
+    @pytest.mark.parametrize("key,value,problem", [
+        ("tag", "new", 'tag "new" != recomputed "optimized-kitaev"'),
+        ("basis", [[3, 2], [2, -3]], "basis [[3,2],[2,-3]] != recomputed [[2,-3],[3,2]]"),
+        ("t_witness", [3, 2], "t_witness [3,2] != recomputed [-3,-2]"),
+        ("hypothesis_met", False, "hypothesis_met false != recomputed true"),
+        ("lambda2", 13.0, "lambda2 13.0 != recomputed 13"),
+        ("note", "x", "unexpected key note"),
+        ("tag", None, "missing key tag"),
+    ], ids=["tag", "basis", "t_witness", "hypothesis_met", "float", "extra_key", "missing_key"])
+    def test_tampered_json_field_rejected(self, tmp_path, key, value, problem):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(60), 60)
+
+        def tamper(record):
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+
+        assert edit_record(path, 13, tamper) == 5
+        assert verify_catalog(path) == (8, [f"line 5: {problem}"])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_duplicate_row_rejected(self, tmp_path, fmt):
+        path = str(tmp_path / f"catalog.{fmt}")
+        write_catalog(path, sweep_catalog(60), 60, fmt=fmt)
         with open(path) as f:
             lines = f.read().splitlines()
-        record = json.loads(lines[2])
-        assert record["n"] == 5 and record["alphas"] == [2, 3]
-        record["alphas"] = [2]
-        lines[2] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        with open(path, "a") as f:
+            f.write(lines[4] + "\n")  # the row for n = 13 again
+        assert verify_catalog(path) == (9, ["line 10: duplicate row for n = 13"])
+
+    def test_rows_beyond_max_length_rejected_unfactored(self, tmp_path, monkeypatch):
+        entries = sweep_catalog(60)
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, entries, 10)
+        factorize = arithmetic.factorize
+
+        def guarded(n):
+            assert 2 * n <= 10, f"factored n = {n} beyond the header's max_length"
+            return factorize(n)
+
+        monkeypatch.setattr(arithmetic, "factorize", guarded)
         count, problems = verify_catalog(path)
-        assert problems == ["line 3: alphas [2] != the roots of -1 mod 5 [2, 3]"]
+        assert count == 8
+        assert problems == [f"line {i}: length {e.length} exceeds the header's max_length 10"
+                            for i, e in enumerate(entries, start=2) if e.length > 10]
+        assert len(problems) == 6
 
     def test_verify_uses_no_dense_algebra(self, tmp_path, monkeypatch):
         path = str(tmp_path / "catalog.ndjson")
@@ -276,7 +354,8 @@ class TestVerify:
             raise AssertionError("dense GF(2) algebra called during verify")
 
         for module, name in [(gbcode, "build"), (css, "dimension"), (css, "is_logical_x"),
-                             (gf2matrix, "rref"), (gf2matrix, "transpose")]:
+                             (gf2matrix, "rref"), (gf2matrix, "transpose"), (catalog, "determine"),
+                             (distance, "determine"), (TorusGraph, "is_sum_of_faces")]:
             monkeypatch.setattr(module, name, boom)
         assert verify_catalog(path) == (22, [])
 
@@ -284,17 +363,14 @@ class TestVerify:
         # a trivial cycle of the right weight must not pass as a logical operator
         path = str(tmp_path / "catalog.ndjson")
         write_catalog(path, sweep_catalog(60), 60)
-        with open(path) as f:
-            lines = f.read().splitlines()
-        idx = next(i for i, line in enumerate(lines[1:], start=1) if json.loads(line)["n"] == 10)
-        record = json.loads(lines[idx])
-        assert (record["alpha"], record["d"]) == (3, 4)
-        record["certificate"] = sorted(TorusGraph(10, 3).face(0).support())
-        lines[idx] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+
+        def face_certificate(record):
+            assert (record["alpha"], record["d"]) == (3, 4)
+            record["certificate"] = sorted(TorusGraph(10, 3).face(0).support())
+
+        lineno = edit_record(path, 10, face_certificate)
         count, problems = verify_catalog(path)
-        assert problems == [f"line {idx + 1}: certificate is not a logical operator"]
+        assert problems == [f"line {lineno}: certificate is not a logical operator"]
 
     def test_csv_extra_field_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -107,6 +108,19 @@ class TestSweepAndVerify:
         run_cli(capsys, "sweep", "--max-length", "40", "--output", a)
         run_cli(capsys, "sweep", "--max-length", "40", "--output", b)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    # Digests of the catalogs as first written by the min-L1 sweep; a refactor
+    # of the sweep or the writer must leave these bytes unchanged.
+    @pytest.mark.parametrize("args,digest", [
+        (("--max-length", "1000"), "e63cb96336d28eeabe37f3c481182083905bd242627be26b5ef49124c7bf642d"),
+        (("--max-length", "200", "--format", "csv"),
+         "94c6572b682a3e4b1a58ad46656d7b0d10c89fb90f14760f20984412a0faab41"),
+    ])
+    def test_catalog_bytes_pinned(self, capsys, tmp_path, args, digest):
+        path = tmp_path / "catalog"
+        code, _, _ = run_cli(capsys, "sweep", *args, "--output", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_seed_only_labels_header(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")

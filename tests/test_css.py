@@ -6,7 +6,7 @@ from gbcodex import css
 from gbcodex.gbcode import GbSpec, build, canonical_spec
 from gbcodex.gf2matrix import BitMatrix
 from gbcodex.gf2poly import parse_poly
-from oracle_utils import gb_check_rows, graphlike_min_logical, naive_min_logical, to_masks
+from oracle_utils import bit_rows_to_lists, gb_check_rows, graphlike_min_logical, naive_min_logical, to_masks
 
 
 def P(text):
@@ -138,7 +138,7 @@ class TestGraphlikeOracle:
         for alpha in range(1, n):
             h_x, h_z = gb_check_rows([0, 1], [0, alpha], n)
             code = build(canonical_spec(alpha, n))
-            assert code.h_x.to_lists() == h_x and code.h_z.to_lists() == h_z
+            assert bit_rows_to_lists(code.h_x) == h_x and bit_rows_to_lists(code.h_z) == h_z
             d_x, d_z = graphlike_min_logical(h_x, h_z), graphlike_min_logical(h_z, h_x)
             assert (d_x, d_z) == (css.exhaustive_distance(code, "X"), css.exhaustive_distance(code, "Z"))
             if 2 * n <= 14:
