@@ -1,16 +1,22 @@
-"""Qubits as graph edges: faces, stars, walks, and staircase certificates.
+"""Qubits as graph edges: boundaries, faces, cut parities and staircase certificates.
 
 The canonical code at (alpha, n) lives on a circulant graph: vertices Z/nZ,
-a unit edge k <-> k+1 and a long edge k <-> k+alpha for every k.  Its
-incidence matrix IS h_x, the quadrilateral faces are the rows of h_z, and a
-closed walk toggles an edge set lying in ker h_x.  A walk's net displacement
-(#unit steps forward - backward, #long steps forward - backward) lands in the
-attached lattice, and walks realizing a nonzero displacement escape the face
-span: they are logical operators.
+a unit edge k <-> k+1 and a long edge k <-> k+alpha for every k.  An edge set
+is an int of 2n bits.  Its boundary (the parity at each vertex) is h_x times
+it, the quadrilateral faces are the rows of h_z, and a closed walk has zero
+boundary.  A closed walk with net displacement t lifts to t = c1 (n, 0) +
+c2 (-alpha, 1) in the attached lattice L, and two cut masks read (c1, c2)
+mod 2.  Faces meet both cuts evenly; the staircase of a primitive lattice
+vector meets one oddly, so it is a logical operator.
 """
 
-from gbcodex import TorusGraph, Walk, build, canonical_spec, is_logical_x
+from gbcodex import TorusGraph, build, canonical_spec, is_logical_x
 from gbcodex.gf2matrix import mat_vec
+from gbcodex.torus_graph import edge_support
+
+
+def cut_parities(graph, bits):
+    return tuple((bits & m).bit_count() & 1 for m in graph.dual_logicals())
 
 
 def main():
@@ -19,31 +25,31 @@ def main():
     code = build(canonical_spec(alpha, n))
 
     print(f"graph on Z/{n}Z with unit and {alpha}-edges")
-    print("incidence matrix equals h_x:", graph.incidence_matrix() == code.h_x)
-    print("face(0) edge indices       :", graph.face(0).support())
-    print("cocycle(0) edge indices    :", graph.cocycle(0).support())
+    columns = all(graph.boundary(1 << j) == mat_vec(code.h_x, 1 << j) for j in range(2 * n))
+    print("boundary of each edge is its h_x column:", columns)
+    face = graph.face(0)
+    print("face(0) edge indices  :", edge_support(face))
+    print("face(0) boundary      :", graph.boundary(face))
+    print("face(0) cut parities  :", cut_parities(graph, face))
     print()
 
-    # a closed walk: 2 steps forward, then 3 long steps backward wraps to 0
-    walk = Walk(start=0, steps=(1, 1, -alpha, -alpha, -alpha))
-    vec = graph.walk_edge_vector(walk)
-    print("walk steps      :", walk.steps)
-    print("net displacement:", graph.lift(walk))
-    print("in ker h_x      :", mat_vec(code.h_x, vec.bits) == 0)
-    print("sum of faces    :", graph.is_sum_of_faces(vec))
+    # a cycle from its lattice displacement: 2 + 5 * (-3) = -13 = 0 mod 13
+    t = (2, -3)
+    c1, c2 = (t[0] + alpha * t[1]) // n, t[1]
+    stair = graph.staircase(t)
+    print(f"staircase {t} edges:", edge_support(stair))
+    print("weight                 :", stair.bit_count())
+    print("boundary               :", graph.boundary(stair))
+    print("cut parities           :", cut_parities(graph, stair))
+    print(f"lattice class          : {t} = {c1}*({n}, 0) + {c2}*({-alpha}, 1), "
+          f"so ({c1 % 2}, {c2 % 2}) mod 2L")
     print()
 
-    # the same cycle built directly from its lattice displacement
-    stair = graph.staircase((2, -3))
-    print("staircase (2, -3) edges:", stair.support())
-    print("weight                 :", stair.weight)
-    print("logical operator       :", is_logical_x(code, stair.bits))
-    print()
-
-    # faces are never logical; adding one to the staircase keeps it logical
+    # the O(n) check agrees with the dense one; adding a face keeps a logical logical
     combined = stair ^ graph.face(4)
-    print("staircase + face(4) still logical:", is_logical_x(code, combined.bits),
-          "weight now", combined.weight)
+    for name, bits in (("face(0)", face), ("staircase", stair), ("staircase + face(4)", combined)):
+        print(f"{name:20}: is_logical {graph.is_logical(bits)}, "
+              f"dense is_logical_x {is_logical_x(code, bits)}, weight {bits.bit_count()}")
 
 
 if __name__ == "__main__":

@@ -28,6 +28,6 @@ from .gbcode import CanonicalW2, GbSpec, build, canonical_spec, canonicalize_w2,
 from .gf2matrix import BitMatrix, circulant, hstack, kernel_basis, mat_mul, rank, row_space_contains, transpose
 from .gf2poly import BinaryPolynomial, add, gcd, mul_mod, parse_poly, substitute_power, x_pow_minus_one
 from .lattice import Lattice2D, enumerate_short, gauss_reduce, gb_lattice, lambda_euclid, min_l1
-from .torus_graph import EdgeVector, TorusGraph, Walk
+from .torus_graph import TorusGraph
 
 __version__ = "0.1.0"

@@ -3,8 +3,9 @@
 Every record is fixed by its length n.  ``strongest_root(n)`` picks the root
 class of -1 mod n with the largest min-L1 (ties to the smaller alpha), and
 ``lattice_fields(alpha, n)`` derives every stored field but the certificate
-from the lattice, the roots of -1 and the gcd formula.  The sweep visits every admissible n
-with 2n <= max_length and calls ``determine`` once, on that root, for the
+from the lattice and the roots of -1; k is the closed form
+``distance.CANONICAL_K``.  The sweep visits every admissible n with
+2n <= max_length and calls ``determine`` once, on that root, for the
 certificate.  Entries serialize to newline-delimited JSON (full records) or
 to a flat CSV export; every numeric field is an exact integer.  The JSON
 header records max_length and a seed, which is only a label: nothing in the
@@ -23,10 +24,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import arithmetic, gbcode
-from .distance import DistanceReport, determine, lattice_lower_bound
+from . import arithmetic
+from .distance import CANONICAL_K, DistanceReport, determine, lattice_lower_bound
 from .lattice import gauss_reduce, gb_lattice, min_l1, shortest_norm2
-from .torus_graph import EdgeVector, TorusGraph
+from .torus_graph import TorusGraph
 
 SCHEMA_NAME = "gb-catalog"
 SCHEMA_VERSION = 2
@@ -95,9 +96,9 @@ def strongest_root(n: int) -> int | None:
 def lattice_fields(alpha: int, n: int) -> dict:
     """Every catalog field that (alpha, n) fixes, which is all but the certificate.
 
-    Values are in their JSON form.  Only the lattice, the roots of -1 and the
-    gcd formula are computed: d = upper = exact = min-L1 by the argument in
-    ``determine``, and lower is the Euclidean bound.
+    Values are in their JSON form.  Only the lattice and the roots of -1 are
+    computed: k is ``CANONICAL_K``, d = upper = exact = min-L1 by the argument
+    in ``determine``, and lower is the Euclidean bound.
     """
     lat = gb_lattice(alpha, n)
     reduced, l1 = gauss_reduce(lat), min_l1(lat)
@@ -107,7 +108,7 @@ def lattice_fields(alpha: int, n: int) -> dict:
         "alpha": alpha,
         "alphas": arithmetic.sqrt_minus_one_all(n),
         "length": 2 * n,
-        "k": gbcode.dimension_formula(gbcode.canonical_spec(alpha, n)),
+        "k": CANONICAL_K,
         "d": l1.value,
         "lower": lower.bound,
         "hypothesis_met": lower.hypothesis_met,
@@ -190,7 +191,7 @@ def _certificate_problems(cert: list, alpha: int, n: int, d: int) -> list[str]:
     problems = []
     if len(cert) != d:
         problems.append(f"certificate weight {len(cert)} != d {d}")
-    if not TorusGraph(n, alpha).is_logical(EdgeVector.from_support(n, cert).bits):
+    if not TorusGraph(n, alpha).is_logical(sum(1 << i for i in cert)):
         problems.append("certificate is not a logical operator")
     return problems
 
@@ -263,8 +264,9 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                 elif (record.get("schema"), record.get("version")) != (SCHEMA_NAME, SCHEMA_VERSION):
                     problems.append(f"line 1: unexpected schema {record.get('schema')!r} "
                                     f"version {record.get('version')!r}")
-                elif type(record.get("max_length")) is not int:
-                    problems.append(f"line 1: max_length {record.get('max_length')!r} is not an integer")
+                elif type(record.get("max_length")) is not int or record["max_length"] < 0:
+                    problems.append(f"line 1: max_length {record.get('max_length')!r} "
+                                    "is not a nonnegative integer")
                 else:
                     max_length = record["max_length"]
         else:

@@ -59,6 +59,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.max_length < 0:
+        raise ValueError(f"--max-length must be nonnegative, got {args.max_length}")
     entries = catalog.sweep_catalog(args.max_length)
     path = args.output or f"catalog.{args.format}"
     catalog.write_catalog(path, entries, args.max_length, args.seed, fmt=args.format)

@@ -12,16 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf2matrix
 from .gf2matrix import BitMatrix
 
 DEFAULT_KERNEL_CAP = 26
 
 _LOW_BLOCK_BITS = 16
-
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -84,16 +80,6 @@ def logical_space(code: CssCode, side: str = "X") -> tuple[list[int], list[int]]
     return list(stab_rows), logicals
 
 
-def _pack(v: int, words: int) -> np.ndarray:
-    return np.array([(v >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(words)], dtype=np.uint64)
-
-
-def _row_weights(buf: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(buf).sum(axis=1, dtype=np.int64)
-    return _POP8[buf.view(np.uint8)].sum(axis=1, dtype=np.int64)
-
-
 def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int) -> tuple[int, int]:
     """Minimum weight over span(stabilizers) + nonzero-span(logicals).
 
@@ -101,7 +87,23 @@ def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int)
     tabulated once; the remaining generators are walked in Gray-code order so
     each block costs one XOR of the whole table.
     """
+    # Imported here, not at module level: only this sweep uses numpy, and
+    # loading it costs import time, memory and a BLAS thread.
+    import numpy as np
+
     words = max(1, (ncols + 63) // 64)
+
+    def pack(v: int):
+        return np.array([(v >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(words)], dtype=np.uint64)
+
+    if hasattr(np, "bitwise_count"):
+        popcount = np.bitwise_count
+    else:  # numpy < 2: a byte table
+        pop8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+        def popcount(buf):
+            return pop8[buf.view(np.uint8)]
+
     low_bits = min(len(stabilizers), _LOW_BLOCK_BITS)
     lows = stabilizers[:low_bits]
     highs = stabilizers[low_bits:] + logicals
@@ -109,11 +111,11 @@ def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int)
     table = np.zeros((1 << low_bits, words), dtype=np.uint64)
     for j, v in enumerate(lows):
         size = 1 << j
-        table[size : 2 * size] = table[:size] ^ _pack(v, words)
+        table[size : 2 * size] = table[:size] ^ pack(v)
 
     n_high = len(highs)
     logical_mask = ((1 << len(logicals)) - 1) << (n_high - len(logicals))
-    packed_highs = [_pack(v, words) for v in highs]
+    packed_highs = [pack(v) for v in highs]
 
     best_weight = None
     best_combo = 0
@@ -128,7 +130,7 @@ def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int)
         if not combo & logical_mask:
             continue
         np.bitwise_xor(table, acc, out=buf)
-        weights = _row_weights(buf)
+        weights = popcount(buf).sum(axis=1, dtype=np.int64)
         i = int(weights.argmin())
         w = int(weights[i])
         if best_weight is None or w < best_weight:

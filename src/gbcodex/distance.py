@@ -15,7 +15,11 @@ from typing import NamedTuple
 
 from . import gbcode
 from .lattice import ceil_sqrt, enumerate_short, gb_lattice, min_l1, shortest_norm2
-from .torus_graph import EdgeVector, TorusGraph
+from .torus_graph import TorusGraph, edge_support
+
+# k = 2 deg gcd(1 + x, 1 + x^alpha, x^n - 1) = 2: the gcd divides 1 + x, and
+# 1 + x divides all three, because each has an even number of terms.
+CANONICAL_K = 2
 
 
 @dataclass(frozen=True)
@@ -67,20 +71,21 @@ def reduced_pair_lower_bound(u: int, v: int, n: int) -> int:
     return lattice_lower_bound(alpha, n).bound
 
 
-def upper_bound_certificate(alpha: int, n: int) -> tuple[int, EdgeVector]:
+def upper_bound_certificate(alpha: int, n: int) -> tuple[int, int]:
     """The staircase of a minimal-L1 lattice vector, revalidated once.
 
-    Returns (weight, witness).  The staircase closes, so it lies in ker(h_x);
+    Returns (weight, edge bits).  The staircase closes, so it lies in ker(h_x);
     it must also have weight min-L1 and lie outside the face span, or a
     RuntimeError is raised.
     """
     l1 = min_l1(gb_lattice(alpha, n))
     graph = TorusGraph(n, alpha)
-    vec = graph.staircase(l1.witness)
-    if vec.weight != l1.value or graph.is_sum_of_faces(vec):
+    bits = graph.staircase(l1.witness)
+    weight = bits.bit_count()
+    if weight != l1.value or graph.is_sum_of_faces(bits):
         raise RuntimeError(f"staircase of {l1.witness} is not a weight-{l1.value} logical "
                            f"for alpha={alpha}, n={n}")
-    return vec.weight, vec
+    return weight, bits
 
 
 def parity_refined_lower(alpha: int, n: int) -> int:
@@ -122,7 +127,6 @@ def determine(alpha: int, n: int) -> DistanceReport:
     RuntimeError means the certificate failed revalidation or the bounds
     cross, either of which would contradict the argument above.
     """
-    k = gbcode.dimension_formula(gbcode.canonical_spec(alpha, n))
     lower = lattice_lower_bound(alpha, n)
     upper, cert = upper_bound_certificate(alpha, n)
     if lower.bound > upper:
@@ -133,9 +137,9 @@ def determine(alpha: int, n: int) -> DistanceReport:
     return DistanceReport(
         n=n,
         alpha=alpha,
-        k=k,
+        k=CANONICAL_K,
         lower_bound=lower.bound,
         hypothesis_met=lower.hypothesis_met,
         upper_bound=upper,
-        certificate=cert.support(),
+        certificate=edge_support(cert),
     )

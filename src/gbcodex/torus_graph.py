@@ -3,61 +3,25 @@
 Vertices are Z/nZ.  Edge index k < n is the unit edge {k, k+1}; index n+k is
 the long edge {k, k+alpha}.  With that indexing the vertex-edge incidence
 matrix coincides bit-for-bit with h_x = [Circ(1+x) | Circ(1+x^alpha)], faces
-are the rows of h_z, and closed walks are kernel vectors of h_x.  Both
-products h_x v and h_z v are two cyclic shifts of each half of the edge bits,
-so checking that a cycle is a logical operator costs O(n) word operations.
+are the rows of h_z, and closed walks are kernel vectors of h_x.  An edge set
+is a plain int of 2n bits, bit k for edge k.  Both products h_x v and h_z v
+are two cyclic shifts of each half of the edge bits, so checking that a
+cycle is a logical operator costs O(n) word operations.
 
 Edges are tracked by index, so the construction stays valid for the
 degenerate values alpha in {1, n-1} where the simple graph would collapse to
-a multigraph; only the walk-lift bookkeeping needs 1 < alpha < n-1 to tell a
-unit step from a long step.
+a multigraph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import gf2matrix
 from .gf2matrix import BitMatrix
 
 
-@dataclass(frozen=True)
-class EdgeVector:
-    """A GF(2) vector of length 2n read as an edge subset."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> (2 * self.n):
-            raise ValueError("edge bits outside [0, 2n)")
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(2 * self.n) if (self.bits >> i) & 1)
-
-    def __xor__(self, other: EdgeVector) -> EdgeVector:
-        if self.n != other.n:
-            raise ValueError("mismatched edge-vector sizes")
-        return EdgeVector(self.n, self.bits ^ other.bits)
-
-    @classmethod
-    def from_support(cls, n: int, indices) -> EdgeVector:
-        bits = 0
-        for i in indices:
-            bits ^= 1 << i
-        return cls(n, bits)
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A walk given by its start vertex and signed steps from {+1, -1, +alpha, -alpha}."""
-
-    start: int
-    steps: tuple[int, ...]
+def edge_support(bits: int) -> tuple[int, ...]:
+    """The edge indices of an edge set, ascending."""
+    return tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
 class TorusGraph:
@@ -68,89 +32,14 @@ class TorusGraph:
             raise ValueError("alpha must lie in [1, n - 1]")
         self.n = n
         self.alpha = alpha
-        self._h_z_rref: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.alpha in (1, self.n - 1)
-
-    def unit_edge(self, k: int) -> tuple[int, int]:
-        return (k % self.n, (k + 1) % self.n)
-
-    def long_edge(self, k: int) -> tuple[int, int]:
-        return (k % self.n, (k + self.alpha) % self.n)
-
-    def incidence_matrix(self) -> BitMatrix:
-        """n x 2n vertex-edge incidence matrix, built from the edge list."""
-        n = self.n
-        rows = [0] * n
-        for k in range(n):
-            for v in self.unit_edge(k):
-                rows[v] ^= 1 << k
-            for v in self.long_edge(k):
-                rows[v] ^= 1 << (n + k)
-        return BitMatrix(tuple(rows), 2 * n)
-
-    def face(self, p: int) -> EdgeVector:
+    def face(self, p: int) -> int:
         """The quadrilateral p -> p+1 -> p+1+alpha -> p+alpha -> p (row p of h_z)."""
         n, a = self.n, self.alpha
         p %= n
-        return EdgeVector.from_support(
-            n, (p, (p + a) % n, n + p, n + (p + 1) % n)
-        )
+        return (1 << p) | (1 << ((p + a) % n)) | (1 << (n + p)) | (1 << (n + (p + 1) % n))
 
-    def cocycle(self, p: int) -> EdgeVector:
-        """The star of vertex p (row p of h_x): edges to p+-1 and p+-alpha."""
-        n, a = self.n, self.alpha
-        p %= n
-        return EdgeVector.from_support(
-            n, (p, (p - 1) % n, n + p, n + (p - a) % n)
-        )
-
-    def lift(self, walk: Walk) -> tuple[int, int]:
-        """Net displacement (#(+1) - #(-1), #(+alpha) - #(-alpha)) of a walk.
-
-        A closed walk lifts to a lattice point: x + alpha*y = 0 mod n.
-        """
-        if self.is_degenerate:
-            raise ValueError("step kinds are ambiguous for alpha in {1, n-1}")
-        a = self.alpha
-        x = y = 0
-        for s in walk.steps:
-            if s == 1:
-                x += 1
-            elif s == -1:
-                x -= 1
-            elif s == a:
-                y += 1
-            elif s == -a:
-                y -= 1
-            else:
-                raise ValueError(f"step {s} is not one of +-1, +-{a}")
-        return (x, y)
-
-    def walk_edge_vector(self, walk: Walk) -> EdgeVector:
-        """Toggle the traversed edges; repeated edges cancel mod 2."""
-        if self.is_degenerate:
-            raise ValueError("step kinds are ambiguous for alpha in {1, n-1}")
-        n, a = self.n, self.alpha
-        bits = 0
-        v = walk.start % n
-        for s in walk.steps:
-            if s == 1:
-                bits ^= 1 << v
-            elif s == -1:
-                bits ^= 1 << ((v - 1) % n)
-            elif s == a:
-                bits ^= 1 << (n + v)
-            elif s == -a:
-                bits ^= 1 << (n + (v - a) % n)
-            else:
-                raise ValueError(f"step {s} is not one of +-1, +-{a}")
-            v = (v + s) % n
-        return EdgeVector(n, bits)
-
-    def staircase(self, t: tuple[int, int], start: int = 0) -> EdgeVector:
+    def staircase(self, t: tuple[int, int], start: int = 0) -> int:
         """Realize a lattice displacement: |t.x| unit steps then |t.y| long steps.
 
         The target must satisfy t.x + alpha*t.y = 0 mod n so the walk closes;
@@ -173,7 +62,7 @@ class TorusGraph:
         for _ in range(abs(ty)):
             bits ^= 1 << (n + (v if step > 0 else (v - a) % n))
             v = (v + step * a) % n
-        return EdgeVector(n, bits)
+        return bits
 
     def _rot(self, x: int, s: int) -> int:
         """Cyclic shift of an n-bit vertex vector: bit p moves to p + s mod n."""
@@ -219,13 +108,7 @@ class TorusGraph:
             return False
         return any((bits & m).bit_count() & 1 and not self.face_parities(m) for m in self.dual_logicals())
 
-    def _h_z(self) -> BitMatrix:
-        return BitMatrix(tuple(self.face(p).bits for p in range(self.n)), 2 * self.n)
-
-    def is_sum_of_faces(self, v: EdgeVector | int) -> bool:
+    def is_sum_of_faces(self, bits: int) -> bool:
         """Row-space membership in h_z; faces generate exactly the X stabilizers."""
-        bits = v.bits if isinstance(v, EdgeVector) else v
-        if self._h_z_rref is None:
-            self._h_z_rref = gf2matrix.rref(self._h_z())
-        rows, pivots = self._h_z_rref
-        return gf2matrix.reduce_vector(rows, pivots, bits) == 0
+        faces = BitMatrix(tuple(self.face(p) for p in range(self.n)), 2 * self.n)
+        return gf2matrix.row_space_contains(faces, bits)

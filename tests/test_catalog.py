@@ -21,7 +21,7 @@ from gbcodex.catalog import (
 from gbcodex.distance import determine
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
-from gbcodex.torus_graph import EdgeVector, TorusGraph
+from gbcodex.torus_graph import TorusGraph, edge_support
 from oracle_utils import gb_check_rows, graphlike_min_logical, scan_min_l1, scan_roots_of_minus_one
 
 # Best representative per circulant size, recomputed here from first
@@ -278,7 +278,8 @@ class TestVerify:
     def test_weaker_root_csv_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")
         write_catalog(path, [weak_root_entry_65()], 130, fmt="csv")
-        assert open(path).read().splitlines()[1].startswith("130,2,9,65,8,")
+        with open(path) as f:
+            assert f.read().splitlines()[1].startswith("130,2,9,65,8,")
         count, problems = verify_catalog(path)
         assert count == 1
         assert problems == ["line 2: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"]
@@ -329,6 +330,11 @@ class TestVerify:
             f.write(lines[4] + "\n")  # the row for n = 13 again
         assert verify_catalog(path) == (9, ["line 10: duplicate row for n = 13"])
 
+    def test_negative_header_max_length_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, [], -5)
+        assert verify_catalog(path) == (0, ["line 1: max_length -5 is not a nonnegative integer"])
+
     def test_rows_beyond_max_length_rejected_unfactored(self, tmp_path, monkeypatch):
         entries = sweep_catalog(60)
         path = str(tmp_path / "catalog.ndjson")
@@ -353,9 +359,9 @@ class TestVerify:
         def boom(*args, **kwargs):
             raise AssertionError("dense GF(2) algebra called during verify")
 
-        for module, name in [(gbcode, "build"), (css, "dimension"), (css, "is_logical_x"),
-                             (gf2matrix, "rref"), (gf2matrix, "transpose"), (catalog, "determine"),
-                             (distance, "determine"), (TorusGraph, "is_sum_of_faces")]:
+        for module, name in [(gbcode, "build"), (gbcode, "dimension_formula"), (css, "dimension"),
+                             (css, "is_logical_x"), (gf2matrix, "rref"), (gf2matrix, "transpose"),
+                             (catalog, "determine"), (distance, "determine"), (TorusGraph, "is_sum_of_faces")]:
             monkeypatch.setattr(module, name, boom)
         assert verify_catalog(path) == (22, [])
 
@@ -366,7 +372,7 @@ class TestVerify:
 
         def face_certificate(record):
             assert (record["alpha"], record["d"]) == (3, 4)
-            record["certificate"] = sorted(TorusGraph(10, 3).face(0).support())
+            record["certificate"] = list(edge_support(TorusGraph(10, 3).face(0)))
 
         lineno = edit_record(path, 10, face_certificate)
         count, problems = verify_catalog(path)
@@ -403,5 +409,4 @@ class TestCertificatesRecheck:
     def test_certificates_reload_as_logical_operators(self, entries_200):
         for e in entries_200:
             code = build(canonical_spec(e.alpha, e.n))
-            vec = EdgeVector.from_support(e.n, e.report.certificate)
-            assert css.is_logical_x(code, vec.bits)
+            assert css.is_logical_x(code, sum(1 << i for i in e.report.certificate))

@@ -99,7 +99,7 @@ class TestSweepAndVerify:
         path = str(tmp_path / "cat.csv")
         code, _, _ = run_cli(capsys, "sweep", "--max-length", "10", "--output", path, "--format", "csv")
         assert code == 0
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "length,k,d,n,alpha,lower,upper,method"
         assert len(lines) == 3  # header + [[4,2,2]] + [[10,2,3]]
 
@@ -107,7 +107,7 @@ class TestSweepAndVerify:
         a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
         run_cli(capsys, "sweep", "--max-length", "40", "--output", a)
         run_cli(capsys, "sweep", "--max-length", "40", "--output", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     # Digests of the catalogs as first written by the min-L1 sweep; a refactor
     # of the sweep or the writer must leave these bytes unchanged.
@@ -126,7 +126,7 @@ class TestSweepAndVerify:
         a, b = str(tmp_path / "a.ndjson"), str(tmp_path / "b.ndjson")
         run_cli(capsys, "sweep", "--max-length", "60", "--seed", "1", "--output", a)
         run_cli(capsys, "sweep", "--max-length", "60", "--seed", "7", "--output", b)
-        lines_a, lines_b = open(a).read().splitlines(), open(b).read().splitlines()
+        lines_a, lines_b = Path(a).read_text().splitlines(), Path(b).read_text().splitlines()
         assert lines_a[0] != lines_b[0]
         assert json.loads(lines_b[0])["seed"] == 7
         assert lines_a[1:] == lines_b[1:] and len(lines_a) == 9
@@ -134,14 +134,21 @@ class TestSweepAndVerify:
     def test_verify_flags_tampering(self, capsys, tmp_path):
         path = str(tmp_path / "cat.ndjson")
         run_cli(capsys, "sweep", "--max-length", "30", "--output", path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         record = json.loads(lines[1])
         record["certificate"] = record["certificate"][:-1] + [record["certificate"][-1] ^ 1]
         lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         code, _, err = run_cli(capsys, "verify", path)
         assert code == 1
         assert "line 2" in err
+
+    def test_negative_max_length_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "cat.ndjson"
+        code, _, err = run_cli(capsys, "sweep", "--max-length", "-5", "--output", str(path))
+        assert code == 2
+        assert "--max-length" in err
+        assert not path.exists()
 
     def test_verify_empty_catalog_warns(self, capsys, tmp_path):
         path = str(tmp_path / "cat.ndjson")
@@ -171,6 +178,23 @@ class TestEntryPoint:
         result = self.run_module("distance", "--alpha", "2", "--n", "5")
         assert result.returncode == 0
         assert "exact=3" in result.stdout
+
+    def test_catalog_paths_load_no_numpy(self, tmp_path):
+        # only the exhaustive oracle needs numpy; sweep, verify and determine must not import it
+        script = f"""
+import sys
+from gbcodex import build, canonical_spec, determine, exhaustive_distance
+from gbcodex.cli import main
+path = {str(tmp_path / "cat.ndjson")!r}
+assert main(["sweep", "--max-length", "60", "--output", path]) == 0
+assert main(["verify", path]) == 0
+assert determine(5, 13).exact == 5
+assert "numpy" not in sys.modules, "numpy loaded"
+assert exhaustive_distance(build(canonical_spec(5, 13))) == 5
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
 
     def test_usage_error_is_exit_2(self):
         result = self.run_module("distance", "--alpha", "2")

@@ -12,7 +12,6 @@ from gbcodex.distance import (
 )
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
-from gbcodex.torus_graph import EdgeVector
 from oracle_utils import gb_check_rows, graphlike_min_logical, scan_lambda2, scan_min_l1
 
 
@@ -56,18 +55,18 @@ class TestCorollaryBound:
 class TestUpperBoundCertificate:
     @pytest.mark.parametrize("alpha,n,weight", [(2, 5, 3), (31, 74, 12), (4, 17, 5)])
     def test_table_weights(self, alpha, n, weight):
-        got, vec = upper_bound_certificate(alpha, n)
-        assert got == weight == vec.weight
+        got, bits = upper_bound_certificate(alpha, n)
+        assert got == weight == bits.bit_count()
 
     def test_certificates_validate(self):
         rng = random.Random(103)
         for _ in range(25):
             n = rng.randrange(2, 26)
             alpha = rng.randrange(1, n)
-            w, vec = upper_bound_certificate(alpha, n)
+            w, bits = upper_bound_certificate(alpha, n)
             code = build(canonical_spec(alpha, n))
-            assert css.is_logical_x(code, vec.bits)
-            assert vec.weight == w
+            assert css.is_logical_x(code, bits)
+            assert bits.bit_count() == w
 
     def test_never_exceeds_min_l1(self):
         rng = random.Random(107)
@@ -135,8 +134,7 @@ class TestDetermine:
             assert report.lower_bound <= report.exact == report.upper_bound
             assert len(report.certificate) == report.exact == scan_min_l1(alpha, n)[0]
             code = build(canonical_spec(alpha, n))
-            vec = EdgeVector.from_support(n, report.certificate)
-            assert css.is_logical_x(code, vec.bits)
+            assert css.is_logical_x(code, sum(1 << i for i in report.certificate))
 
     def test_deterministic(self):
         assert determine(12, 29) == determine(12, 29)
@@ -146,6 +144,7 @@ class TestDetermine:
             raise AssertionError("determine reached the dense or parity path")
 
         monkeypatch.setattr(gbcode, "build", forbidden)
+        monkeypatch.setattr(gbcode, "dimension_formula", forbidden)
         monkeypatch.setattr(gf2matrix, "rank", forbidden)
         monkeypatch.setattr(css, "min_weight_logical", forbidden)
         monkeypatch.setattr(distance, "parity_refined_lower", forbidden)
