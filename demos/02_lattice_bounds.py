@@ -10,15 +10,17 @@ When alpha^2 = -1 mod n the squared lattice minimum is a positive multiple
 of n, so the distance scales like sqrt(n) at length 2n.
 """
 
+import math
+
 from gbcodex import (
     determine,
     enumerate_short,
     gauss_reduce,
     gb_lattice,
-    lambda_euclid,
     min_l1,
     sqrt_minus_one_all,
 )
+from gbcodex.lattice import shortest_norm2
 
 
 def main():
@@ -26,11 +28,11 @@ def main():
         alpha = sqrt_minus_one_all(n)[0]
         lat = gb_lattice(alpha, n)
         red = gauss_reduce(lat)
-        lam = lambda_euclid(lat)
+        lam2 = shortest_norm2(lat)
         l1 = min_l1(lat)
         print(f"n={n} alpha={alpha}")
         print(f"  reduced basis   : {red.b1}, {red.b2}")
-        print(f"  lambda^2        = {lam.norm2}  (lambda = {lam.value:.3f}, multiple of n: {lam.norm2 % n == 0})")
+        print(f"  lambda^2        = {lam2}  (lambda = {math.sqrt(lam2):.3f}, multiple of n: {lam2 % n == 0})")
         print(f"  min L1          = {l1.value}  witness {l1.witness}")
         print(f"  short vectors   : {enumerate_short(lat, l1.value)}")
 

@@ -12,15 +12,14 @@ from gbcodex.catalog import classify_family
 
 
 def main():
-    entries = sweep_catalog(200)
+    reports = sweep_catalog(200)
     print(f"{'code':>14} {'n':>4} {'alpha':>5} {'bounds':>9} {'status':<18} {'family':<17}")
-    for e in entries:
-        r = e.report
+    for r in reports:
         bounds = f"{r.lower_bound} <= {r.exact}"
-        code = f"[[{e.length}, {e.k}, {e.d}]]"
-        print(f"{code:>14} {e.n:>4} {e.alpha:>5} {bounds:>9} {r.method:<18} {classify_family(e.alpha, e.n):<17}")
+        code = f"[[{r.length}, {r.k}, {r.exact}]]"
+        print(f"{code:>14} {r.n:>4} {r.alpha:>5} {bounds:>9} {r.method:<18} {classify_family(r.alpha, r.n):<17}")
     print()
-    print(f"{len(entries)} codes; every d is the weight of an explicitly verified logical operator")
+    print(f"{len(reports)} codes; every d is the weight of an explicitly verified logical operator")
     print("and equals the minimal L1 norm of the lattice, so every d is exact")
 
 

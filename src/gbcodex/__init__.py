@@ -14,20 +14,19 @@ from .arithmetic import (
     sqrt_minus_one_all,
     sqrt_minus_one_mod_prime_power,
 )
-from .catalog import CatalogEntry, analyze_length, sweep_catalog, verify_catalog, write_catalog
+from .catalog import analyze_length, sweep_catalog, verify_catalog, write_catalog
 from .css import CssCode, dimension, exhaustive_distance, is_logical_x, min_weight_logical, new_css
 from .distance import (
     DistanceReport,
     determine,
-    reduced_pair_lower_bound,
     lattice_lower_bound,
     parity_refined_lower,
     upper_bound_certificate,
 )
-from .gbcode import CanonicalW2, GbSpec, build, canonical_spec, canonicalize_w2, dimension_formula, shift_normalize
+from .gbcode import GbSpec, build, canonical_spec, canonicalize_w2, dimension_formula, shift_normalize
 from .gf2matrix import BitMatrix, circulant, hstack, kernel_basis, mat_mul, rank, row_space_contains, transpose
 from .gf2poly import BinaryPolynomial, add, gcd, mul_mod, parse_poly, substitute_power, x_pow_minus_one
-from .lattice import Lattice2D, enumerate_short, gauss_reduce, gb_lattice, lambda_euclid, min_l1
+from .lattice import Lattice2D, enumerate_short, gauss_reduce, gb_lattice, min_l1
 from .torus_graph import TorusGraph
 
 __version__ = "0.1.0"

@@ -6,14 +6,15 @@ class of -1 mod n with the largest min-L1 (ties to the smaller alpha), and
 from the lattice and the roots of -1; k is the closed form
 ``distance.CANONICAL_K``.  The sweep visits every admissible n with
 2n <= max_length and calls ``determine`` once, on that root, for the
-certificate.  Entries serialize to newline-delimited JSON (full records) or
+certificate.  Reports serialize to newline-delimited JSON (full records) or
 to a flat CSV export; every numeric field is an exact integer.  The JSON
 header records max_length and a seed, which is only a label: nothing in the
 sweep depends on it.  ``verify`` runs the same two functions on every record
 of either format and compares each stored field with the recomputed one.  It
 rejects a second row for the same n and, for JSON, a row beyond the header's
-max_length, and checks each certificate on the torus graph (zero boundary,
-odd overlap with a dual logical), with no dense algebra.
+max_length, reports the first admissible n within it that has no JSON row,
+and checks each certificate on the torus graph (zero boundary, odd overlap
+with a dual logical), with no dense algebra.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 
 from . import arithmetic
 from .distance import CANONICAL_K, DistanceReport, determine, lattice_lower_bound
@@ -37,26 +37,6 @@ TAG_OPTIMIZED = "optimized-kitaev"
 TAG_NEW = "new"
 
 CSV_COLUMNS = ["length", "k", "d", "n", "alpha", "lower", "upper", "method"]
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    n: int
-    alpha: int
-    report: DistanceReport
-
-    @property
-    def length(self) -> int:
-        return 2 * self.n
-
-    @property
-    def k(self) -> int:
-        return self.report.k
-
-    @property
-    def d(self) -> int:
-        """The exact distance: the certificate weight, equal to min-L1."""
-        return self.report.upper_bound
 
 
 def classify_family(alpha: int, n: int) -> str:
@@ -123,22 +103,20 @@ def lattice_fields(alpha: int, n: int) -> dict:
     }
 
 
-def analyze_length(n: int) -> CatalogEntry | None:
-    """Best catalog entry for one admissible n, or None when no root exists."""
+def analyze_length(n: int) -> DistanceReport | None:
+    """The report of n's strongest root, or None when no root exists."""
     alpha = strongest_root(n)
-    if alpha is None:
-        return None
-    return CatalogEntry(n, alpha, determine(alpha, n))
+    return None if alpha is None else determine(alpha, n)
 
 
-def sweep_catalog(max_length: int) -> list[CatalogEntry]:
-    """All best-per-n entries with 2n <= max_length, sorted by (d, length, alpha)."""
+def sweep_catalog(max_length: int) -> list[DistanceReport]:
+    """All best-per-n reports with 2n <= max_length, sorted by (d, length, alpha)."""
     results = (analyze_length(n) for n in range(1, max_length // 2 + 1) if arithmetic.is_admissible(n))
-    return sorted((e for e in results if e is not None), key=lambda e: (e.d, e.length, e.alpha))
+    return sorted((r for r in results if r is not None), key=lambda r: (r.exact, r.length, r.alpha))
 
 
-def entry_to_dict(entry: CatalogEntry) -> dict:
-    return {**lattice_fields(entry.alpha, entry.n), "certificate": list(entry.report.certificate)}
+def entry_to_dict(report: DistanceReport) -> dict:
+    return {**lattice_fields(report.alpha, report.n), "certificate": list(report.certificate)}
 
 
 def _header_dict(max_length: int, seed: int) -> dict:
@@ -149,33 +127,27 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def render_json(entries: list[CatalogEntry], max_length: int, seed: int) -> str:
+def render_json(reports: list[DistanceReport], max_length: int, seed: int) -> str:
     lines = [_dump(_header_dict(max_length, seed))]
-    lines.extend(_dump(entry_to_dict(e)) for e in entries)
+    lines.extend(_dump(entry_to_dict(r)) for r in reports)
     return "\n".join(lines) + "\n"
 
 
-def render_csv(entries: list[CatalogEntry]) -> str:
+def render_csv(reports: list[DistanceReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for e in entries:
-        d = entry_to_dict(e)
+    for r in reports:
+        d = entry_to_dict(r)
         writer.writerow([d[c] for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
-def write_catalog(
-    path: str,
-    entries: list[CatalogEntry],
-    max_length: int,
-    seed: int = 1,
-    fmt: str = "json",
-) -> None:
+def write_catalog(path: str, reports: list[DistanceReport], max_length: int, seed: int = 1, fmt: str = "json") -> None:
     if fmt == "json":
-        text = render_json(entries, max_length, seed)
+        text = render_json(reports, max_length, seed)
     elif fmt == "csv":
-        text = render_csv(entries)
+        text = render_csv(reports)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -226,14 +198,30 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
     return problems
 
 
+def _header_problems(header: dict) -> list[str]:
+    """The JSON header must hold exactly the written keys, with integer values."""
+    if (header.get("schema"), header.get("version")) != (SCHEMA_NAME, SCHEMA_VERSION):
+        return [f"unexpected schema {header.get('schema')!r} version {header.get('version')!r}"]
+    keys = _header_dict(0, 0)
+    problems = [f"missing key {key}" for key in keys if key not in header]
+    problems += [f"unexpected key {key}" for key in header if key not in keys]
+    if "max_length" in header and (type(header["max_length"]) is not int or header["max_length"] < 0):
+        problems.append(f"max_length {header['max_length']!r} is not a nonnegative integer")
+    if "seed" in header and type(header["seed"]) is not int:
+        problems.append(f"seed {header['seed']!r} is not an integer")
+    return problems
+
+
 def verify_catalog(path: str) -> tuple[int, list[str]]:
     """Recheck every record of a written catalog.
 
-    Returns (record count, problems); each problem names its line.  Each
-    record must be the only one for its n, lie within the JSON header's
-    max_length, name the strongest root class, and match ``lattice_fields``
-    field by field.  A JSON record must hold exactly the written keys, and its
-    certificate must be a weight-d logical operator on the torus graph.
+    Returns (record count, problems); each problem names its line or the
+    missing n.  Each record must be the only one for its n, lie within the
+    JSON header's max_length, name the strongest root class, and match
+    ``lattice_fields`` field by field.  A JSON header or record must hold
+    exactly the written keys, a record's certificate must be a weight-d
+    logical operator on the torus graph, and every admissible n within the
+    header's max_length must have a row (the first gap is reported).
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -259,16 +247,10 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                     problem = f"corrupt JSON ({exc.msg})"
                 if lineno > 1:
                     rows.append((lineno, record, problem))
-                elif problem:
-                    problems.append(f"line 1: {problem}")
-                elif (record.get("schema"), record.get("version")) != (SCHEMA_NAME, SCHEMA_VERSION):
-                    problems.append(f"line 1: unexpected schema {record.get('schema')!r} "
-                                    f"version {record.get('version')!r}")
-                elif type(record.get("max_length")) is not int or record["max_length"] < 0:
-                    problems.append(f"line 1: max_length {record.get('max_length')!r} "
-                                    "is not a nonnegative integer")
                 else:
-                    max_length = record["max_length"]
+                    header_problems = [problem] if problem else _header_problems(record)
+                    problems.extend(f"line 1: {p}" for p in header_problems)
+                    max_length = None if header_problems else record["max_length"]
         else:
             keys, render = CSV_COLUMNS, str
             reader = csv.reader(f)
@@ -287,4 +269,9 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             found = [f"malformed record ({exc})"]
         problems.extend(f"line {lineno}: {p}" for p in found)
+    if max_length is not None:
+        # stop at the first gap, so the scan never runs far past the stored rows
+        gap = next((n for n in range(2, max_length // 2 + 1) if n not in seen and arithmetic.is_admissible(n)), None)
+        if gap is not None:
+            problems.append(f"missing row for n = {gap}")
     return len(rows), problems

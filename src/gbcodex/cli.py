@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import catalog, css, gbcode
-from .distance import determine, reduced_pair_lower_bound
+from .distance import determine, lattice_lower_bound
 from .gf2poly import parse_poly
 from .lattice import gb_lattice, min_l1, shortest_norm2
 
@@ -20,21 +20,21 @@ def cmd_construct(args: argparse.Namespace) -> int:
     k_rank = css.dimension(code)
     k_gcd = gbcode.dimension_formula(spec)
     summary = f"[[{spec.length}, {k_rank}]]"
-    canonical = None
+    alpha = None
     exponents = gbcode.weight2_exponents(spec)
     if exponents is not None:
         try:
-            canonical = gbcode.canonicalize_w2(exponents[0], exponents[1], spec.n)
+            alpha = gbcode.canonicalize_w2(exponents[0], exponents[1], spec.n)
         except ValueError as exc:
             print(f"not canonicalized: {exc}")
-    if canonical is not None:
-        lat = gb_lattice(canonical.alpha, canonical.n)
+    if alpha is not None:
+        lat = gb_lattice(alpha, spec.n)
         summary += f" lambda2={shortest_norm2(lat)} minL1={min_l1(lat).value}"
     print(summary)
     agree = "ok" if k_rank == k_gcd else "MISMATCH"
     print(f"k-check: rank-based={k_rank} gcd-formula={k_gcd} {agree}")
-    if canonical is not None:
-        print(f"canonical: alpha={canonical.alpha} n={canonical.n}")
+    if alpha is not None:
+        print(f"canonical: alpha={alpha} n={spec.n}")
     if k_rank == 0:
         print("distance: infinite")
     return 0 if agree == "ok" else 1
@@ -51,20 +51,20 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    bound = reduced_pair_lower_bound(args.u, args.v, args.n)
-    canonical = gbcode.canonicalize_w2(args.u, args.v, args.n)
-    lam2 = shortest_norm2(gb_lattice(canonical.alpha, canonical.n))
-    print(f"alpha={canonical.alpha} lower-bound={bound} lambda2={lam2}")
+    alpha = gbcode.canonicalize_w2(args.u, args.v, args.n)
+    bound = lattice_lower_bound(alpha, args.n).bound
+    lam2 = shortest_norm2(gb_lattice(alpha, args.n))
+    print(f"alpha={alpha} lower-bound={bound} lambda2={lam2}")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_length < 0:
         raise ValueError(f"--max-length must be nonnegative, got {args.max_length}")
-    entries = catalog.sweep_catalog(args.max_length)
+    reports = catalog.sweep_catalog(args.max_length)
     path = args.output or f"catalog.{args.format}"
-    catalog.write_catalog(path, entries, args.max_length, args.seed, fmt=args.format)
-    print(f"{len(entries)} entries -> {path}")
+    catalog.write_catalog(path, reports, args.max_length, args.seed, fmt=args.format)
+    print(f"{len(reports)} entries -> {path}")
     return 0
 
 

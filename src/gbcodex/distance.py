@@ -9,11 +9,9 @@ the paper's Euclidean lower bound as the ``lower`` column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import gbcode
 from .lattice import ceil_sqrt, enumerate_short, gb_lattice, min_l1, shortest_norm2
 from .torus_graph import TorusGraph, edge_support
 
@@ -59,16 +57,6 @@ def lattice_lower_bound(alpha: int, n: int) -> LatticeBound:
     """
     lam2 = shortest_norm2(gb_lattice(alpha, n))
     return LatticeBound(ceil_sqrt(lam2), n >= 6)
-
-
-def reduced_pair_lower_bound(u: int, v: int, n: int) -> int:
-    """The same bound for (1 + x^u, 1 + x^v) with u invertible mod n."""
-    if n <= max(6, u, v):
-        raise ValueError("requires n > max(6, u, v)")
-    if math.gcd(u % n, n) != 1:
-        raise ValueError(f"u = {u} is not relatively prime with n = {n}")
-    alpha = gbcode.canonicalize_w2(u, v, n).alpha
-    return lattice_lower_bound(alpha, n).bound
 
 
 def upper_bound_certificate(alpha: int, n: int) -> tuple[int, int]:

@@ -36,27 +36,11 @@ class GbSpec:
         return 2 * self.n
 
 
-@dataclass(frozen=True)
-class CanonicalW2:
-    """The canonical weight-2 pair (1 + x, 1 + x^alpha) over x^n - 1."""
-
-    alpha: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.alpha <= self.n - 1:
-            raise ValueError("alpha must lie in [1, n - 1]")
-
-    def spec(self) -> GbSpec:
-        return GbSpec(
-            gf2poly.BinaryPolynomial.from_support([0, 1]),
-            gf2poly.BinaryPolynomial.from_support([0, self.alpha]),
-            self.n,
-        )
-
-
 def canonical_spec(alpha: int, n: int) -> GbSpec:
-    return CanonicalW2(alpha, n).spec()
+    """The canonical weight-2 pair (1 + x, 1 + x^alpha) over x^n - 1."""
+    if not 1 <= alpha <= n - 1:
+        raise ValueError("alpha must lie in [1, n - 1]")
+    return GbSpec(BinaryPolynomial.from_support([0, 1]), BinaryPolynomial.from_support([0, alpha]), n)
 
 
 def build(spec: GbSpec) -> CssCode:
@@ -93,8 +77,8 @@ def shift_normalize(spec: GbSpec) -> GbSpec:
     return GbSpec(shifted[0], shifted[1], spec.n)
 
 
-def canonicalize_w2(u: int, v: int, n: int) -> CanonicalW2:
-    """Reduce the pair (1 + x^u, 1 + x^v) mod x^n - 1 to canonical (1 + x, 1 + x^alpha).
+def canonicalize_w2(u: int, v: int, n: int) -> int:
+    """The alpha that makes (1 + x^u, 1 + x^v) mod x^n - 1 equivalent to (1 + x, 1 + x^alpha).
 
     Substituting x -> x^k for k invertible mod n preserves code parameters,
     which gives alpha = v * u^{-1} mod n.  If u shares a factor with n but v
@@ -116,7 +100,7 @@ def canonicalize_w2(u: int, v: int, n: int) -> CanonicalW2:
             f"cannot reduce (u={u}, v={v}) to 1 + x^alpha form: "
             f"neither exponent is invertible modulo {n}"
         )
-    return CanonicalW2(alpha, n)
+    return alpha
 
 
 def weight2_exponents(spec: GbSpec) -> tuple[int, int] | None:

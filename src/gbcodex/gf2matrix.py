@@ -113,20 +113,15 @@ def kernel_basis(m: BitMatrix) -> list[int]:
     return basis
 
 
-def reduce_vector(rref_rows: tuple[int, ...], pivots: tuple[int, ...], v: int) -> int:
-    """Reduce v against an RREF; result is 0 iff v lies in the row space."""
-    for row, p in zip(rref_rows, pivots):
-        if (v >> p) & 1:
-            v ^= row
-    return v
-
-
 def row_space_contains(m: BitMatrix, v: int) -> bool:
     """True iff v is a GF(2) combination of the rows of m."""
     if v < 0 or v >> m.cols:
         raise ValueError("vector does not match the matrix width")
     rows, pivots = rref(m)
-    return reduce_vector(rows, pivots, v) == 0
+    for row, p in zip(rows, pivots):
+        if (v >> p) & 1:
+            v ^= row
+    return v == 0
 
 
 def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -94,17 +94,6 @@ def shortest_norm2(lat: Lattice2D) -> int:
     return _norm2(gauss_reduce(lat).b1)
 
 
-class EuclideanMinimum(NamedTuple):
-    norm2: int
-    value: float
-
-
-def lambda_euclid(lat: Lattice2D) -> EuclideanMinimum:
-    """Shortest-vector length; the squared norm is exact, the float is derived."""
-    n2 = shortest_norm2(lat)
-    return EuclideanMinimum(n2, math.sqrt(n2))
-
-
 def enumerate_short(lat: Lattice2D, radius_l1: int) -> list[Vec]:
     """All nonzero lattice vectors with L1 norm <= radius_l1, each listed once.
 

@@ -66,7 +66,7 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_table_reproduction():
     start = time.perf_counter()
-    entries = sweep_catalog(200)
+    reports = sweep_catalog(200)
     elapsed = time.perf_counter() - start
 
     problems = []
@@ -74,19 +74,19 @@ def test_criterion_1_table_reproduction():
         problems.append(f"sweep took {elapsed:.1f}s (budget 300s)")
 
     # every emitted distance must be an achieved, revalidated certificate
-    for e in entries:
-        spec = canonical_spec(e.alpha, e.n)
+    for r in reports:
+        spec = canonical_spec(r.alpha, r.n)
         code = build(spec)
         _register(spec, code)
-        bits = sum(1 << i for i in e.report.certificate)
-        if bits.bit_count() != e.d or not css.is_logical_x(code, bits):
-            problems.append(f"entry n={e.n}: certificate does not establish d={e.d}")
-        if e.d < ceil_sqrt(e.n):
-            problems.append(f"entry n={e.n}: d={e.d} below ceil(sqrt(n))")
+        bits = sum(1 << i for i in r.certificate)
+        if bits.bit_count() != r.exact or not css.is_logical_x(code, bits):
+            problems.append(f"entry n={r.n}: certificate does not establish d={r.exact}")
+        if r.exact < ceil_sqrt(r.n):
+            problems.append(f"entry n={r.n}: d={r.exact} below ceil(sqrt(n))")
 
-    got = Counter((e.length, e.k, e.d) for e in entries)
-    if len(entries) != 22:
-        problems.append(f"expected 22 entries, got {len(entries)}")
+    got = Counter((r.length, r.k, r.exact) for r in reports)
+    if len(reports) != 22:
+        problems.append(f"expected 22 entries, got {len(reports)}")
     if got != REQUIRED_TABLE:
         missing = sorted((REQUIRED_TABLE - got).elements())
         extra = sorted((got - REQUIRED_TABLE).elements())
@@ -175,13 +175,13 @@ def test_criterion_6_rotated_grid_family():
         code = build(spec)
         _register(spec, code)
         u, v = weight2_exponents(spec)
-        canonical = canonicalize_w2(u, v, spec.n)
-        report = determine(canonical.alpha, canonical.n)
+        alpha = canonicalize_w2(u, v, spec.n)
+        report = determine(alpha, spec.n)
         if report.upper_bound != d_expected:
             failures.append(f"t={t}: certified distance {report.upper_bound} != {d_expected}")
         kernel_dim = spec.n + 1
         if kernel_dim <= 26:
-            d_oracle = css.exhaustive_distance(build(canonical_spec(canonical.alpha, canonical.n)), "X")
+            d_oracle = css.exhaustive_distance(build(canonical_spec(alpha, spec.n)), "X")
             if d_oracle != d_expected:
                 failures.append(f"t={t}: oracle {d_oracle} != {d_expected}")
     _report(6, "rotated-grid family certifies d = 2t + 1 for t = 1..6", not failures, "; ".join(failures))
@@ -206,8 +206,7 @@ def test_criterion_7_equivalence_transformations():
             reduce_mod_xn(BinaryPolynomial.from_support([0, s]), n),
             n,
         )
-        canonical = canonicalize_w2(r, s, n)
-        if params(before) != params(canonical_spec(canonical.alpha, canonical.n)):
+        if params(before) != params(canonical_spec(canonicalize_w2(r, s, n), n)):
             failures += 1
 
     done = 0

@@ -7,7 +7,6 @@ from gbcodex import arithmetic, catalog, css, distance, gbcode, gf2matrix
 from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import (
     CSV_COLUMNS,
-    CatalogEntry,
     analyze_length,
     classify_family,
     entry_to_dict,
@@ -71,11 +70,6 @@ def test_graphlike_oracle_pins_weaker_root_n65():
     assert determine(8, 65).exact == 9
 
 
-def weak_root_entry_65():
-    """A self-consistent record for n = 65 at the weaker root class alpha = 8 (d = 9, not 11)."""
-    return CatalogEntry(65, 8, determine(8, 65))
-
-
 def edit_record(path, n, edit):
     """Apply edit to the JSON record for n in place; returns that record's line number."""
     with open(path) as f:
@@ -90,51 +84,51 @@ def edit_record(path, n, edit):
 
 
 @pytest.fixture(scope="module")
-def entries_200():
+def reports_200():
     return sweep_catalog(200)
 
 
 class TestSweep:
     def test_tiny_sweeps(self):
-        assert [(e.length, e.k, e.d) for e in sweep_catalog(10)] == [(4, 2, 2), (10, 2, 3)]
+        assert [(r.length, r.k, r.exact) for r in sweep_catalog(10)] == [(4, 2, 2), (10, 2, 3)]
         assert sweep_catalog(2) == []
 
-    def test_full_sweep_contents(self, entries_200):
-        got = {e.n: (e.alpha, e.d) for e in entries_200}
+    def test_full_sweep_contents(self, reports_200):
+        got = {r.n: (r.alpha, r.exact) for r in reports_200}
         assert got == EXPECTED_200
 
-    def test_covers_exactly_the_admissible_sizes(self, entries_200):
+    def test_covers_exactly_the_admissible_sizes(self, reports_200):
         expected_n = {
             n for n in range(2, 101) if is_admissible(n) and scan_roots_of_minus_one(n)
         }
-        assert {e.n for e in entries_200} == expected_n
+        assert {r.n for r in reports_200} == expected_n
 
-    def test_sorted_by_distance_then_length(self, entries_200):
-        keys = [(e.d, e.length, e.alpha) for e in entries_200]
+    def test_sorted_by_distance_then_length(self, reports_200):
+        keys = [(r.exact, r.length, r.alpha) for r in reports_200]
         assert keys == sorted(keys)
 
-    def test_distance_column_is_certificate_weight(self, entries_200):
-        for e in entries_200:
-            assert e.d == len(e.report.certificate)
-            assert e.d >= ceil_sqrt(e.n)
+    def test_distance_column_is_certificate_weight(self, reports_200):
+        for r in reports_200:
+            assert r.exact == len(r.certificate)
+            assert r.exact >= ceil_sqrt(r.n)
 
-    def test_independent_min_l1_recomputation(self, entries_200):
-        for e in entries_200:
-            value, _ = scan_min_l1(e.alpha, e.n)
-            assert entry_to_dict(e)["min_l1"] == value
-            assert e.d <= value
+    def test_independent_min_l1_recomputation(self, reports_200):
+        for r in reports_200:
+            value, _ = scan_min_l1(r.alpha, r.n)
+            assert entry_to_dict(r)["min_l1"] == value
+            assert r.exact <= value
 
-    def test_alphas_field_lists_all_roots(self, entries_200):
-        for e in entries_200:
-            assert entry_to_dict(e)["alphas"] == sqrt_minus_one_all(e.n)
+    def test_alphas_field_lists_all_roots(self, reports_200):
+        for r in reports_200:
+            assert entry_to_dict(r)["alphas"] == sqrt_minus_one_all(r.n)
 
     def test_multi_class_sizes_pick_strongest_lower(self):
         # n = 65 has root classes {8, 18} with distances 9 and 11.
-        entry = analyze_length(65)
-        assert (entry.alpha, entry.d, entry.report.exact) == (18, 11, 11)
+        report = analyze_length(65)
+        assert report == determine(18, 65) and report.exact == 11
         # n = 85 has classes {13, 38} with distances 13 and 11.
-        entry = analyze_length(85)
-        assert (entry.alpha, entry.d, entry.report.exact) == (13, 13, 13)
+        report = analyze_length(85)
+        assert report == determine(13, 85) and report.exact == 13
         assert determine(38, 85).exact == 11
         assert (strongest_root(65), strongest_root(85)) == (18, 13)
         assert strongest_root(1) is None and strongest_root(3) is None
@@ -147,12 +141,12 @@ class TestSweep:
             return determine(alpha, n)
 
         monkeypatch.setattr(catalog, "determine", counted)
-        entries = sweep_catalog(200)
-        assert len(calls) == len(entries) == 22
-        assert sorted(calls) == sorted((e.alpha, e.n) for e in entries)
+        reports = sweep_catalog(200)
+        assert len(calls) == len(reports) == 22
+        assert sorted(calls) == sorted((r.alpha, r.n) for r in reports)
 
-    def test_family_tags(self, entries_200):
-        tags = {e.n: entry_to_dict(e)["tag"] for e in entries_200}
+    def test_family_tags(self, reports_200):
+        tags = {r.n: entry_to_dict(r)["tag"] for r in reports_200}
         for n in (5, 13, 25, 41, 61, 85):
             assert tags[n] == "optimized-kitaev"
         assert tags[2] == "new" and tags[74] == "new"
@@ -164,27 +158,27 @@ class TestSweep:
 
 
 class TestSerialization:
-    def test_lattice_fields_agree_with_determine(self, entries_200):
+    def test_lattice_fields_agree_with_determine(self, reports_200):
         # the writer takes every field but the certificate from the lattice, not the report
-        for e in entries_200:
-            d, r = entry_to_dict(e), e.report
+        for r in reports_200:
+            d = entry_to_dict(r)
             assert (d["n"], d["alpha"], d["length"], d["k"]) == (r.n, r.alpha, r.length, r.k)
             assert d["d"] == d["upper"] == d["exact"] == d["min_l1"] == r.upper_bound == r.exact
             assert (d["lower"], d["hypothesis_met"], d["method"]) == (r.lower_bound, r.hypothesis_met, r.method)
             assert d["certificate"] == list(r.certificate)
 
-    def test_json_file_roundtrip(self, entries_200, tmp_path):
+    def test_json_file_roundtrip(self, reports_200, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
-        write_catalog(path, entries_200, 200)
+        write_catalog(path, reports_200, 200)
         with open(path) as f:
             text = f.read()
-        assert text == render_json(entries_200, 200, 1)
+        assert text == render_json(reports_200, 200, 1)
         header = json.loads(text.splitlines()[0])
         assert header == {"schema": "gb-catalog", "version": 2, "max_length": 200, "seed": 1}
         assert verify_catalog(path) == (22, [])
 
-    def test_no_floats_persisted(self, entries_200):
-        text = render_json(entries_200, 200, 1)
+    def test_no_floats_persisted(self, reports_200):
+        text = render_json(reports_200, 200, 1)
         for line in text.splitlines():
             def reject_floats(obj):
                 if isinstance(obj, float):
@@ -199,12 +193,12 @@ class TestSerialization:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_csv_and_json_agree_record_for_record(self, entries_200):
-        csv_lines = render_csv(entries_200).splitlines()
+    def test_csv_and_json_agree_record_for_record(self, reports_200):
+        csv_lines = render_csv(reports_200).splitlines()
         assert csv_lines[0] == ",".join(CSV_COLUMNS)
-        assert len(csv_lines) == len(entries_200) + 1
-        for line, e in zip(csv_lines[1:], entries_200):
-            d = entry_to_dict(e)
+        assert len(csv_lines) == len(reports_200) + 1
+        for line, r in zip(csv_lines[1:], reports_200):
+            d = entry_to_dict(r)
             assert line == ",".join(str(d[c]) for c in CSV_COLUMNS)
 
 
@@ -269,15 +263,18 @@ class TestVerify:
         assert any("corrupt JSON" in p for p in problems)
 
     def test_weaker_root_json_rejected(self, tmp_path):
+        # the full length-130 catalog with the n = 65 row taken at the weaker
+        # root class alpha = 8 (a self-consistent record with d = 9, not 11)
+        reports = [determine(8, 65) if r.n == 65 else r for r in sweep_catalog(130)]
         path = str(tmp_path / "catalog.ndjson")
-        write_catalog(path, [weak_root_entry_65()], 130)
-        count, problems = verify_catalog(path)
-        assert count == 1
-        assert problems == ["line 2: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"]
+        write_catalog(path, reports, 130)
+        lineno = 2 + [r.n for r in reports].index(65)
+        assert verify_catalog(path) == (
+            16, [f"line {lineno}: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"])
 
     def test_weaker_root_csv_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")
-        write_catalog(path, [weak_root_entry_65()], 130, fmt="csv")
+        write_catalog(path, [determine(8, 65)], 130, fmt="csv")
         with open(path) as f:
             assert f.read().splitlines()[1].startswith("130,2,9,65,8,")
         count, problems = verify_catalog(path)
@@ -330,15 +327,53 @@ class TestVerify:
             f.write(lines[4] + "\n")  # the row for n = 13 again
         assert verify_catalog(path) == (9, ["line 10: duplicate row for n = 13"])
 
+    # the length-60 catalog holds n in {2, 5, 10, 13, 17, 25, 26, 29}; n = 29 is its last row
+    @pytest.mark.parametrize("n", [13, 29], ids=["middle_row", "last_row"])
+    def test_missing_json_row_rejected(self, tmp_path, n):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, [r for r in sweep_catalog(60) if r.n != n], 60)
+        assert verify_catalog(path) == (7, [f"missing row for n = {n}"])
+
+    def test_missing_row_scan_stops_at_first_gap(self, tmp_path, monkeypatch):
+        # a huge max_length costs nothing: the scan stops at n = 2, the first admissible n
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, [], 10**12)
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_admissible(n)
+
+        monkeypatch.setattr(arithmetic, "is_admissible", counted)
+        assert verify_catalog(path) == (0, ["missing row for n = 2"])
+        assert calls == [2]
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda h: h.update(note="x"), "unexpected key note"),
+        (lambda h: h.pop("seed"), "missing key seed"),
+        (lambda h: h.update(seed="abc"), "seed 'abc' is not an integer"),
+    ], ids=["extra_key", "missing_seed", "string_seed"])
+    def test_tampered_json_header_rejected(self, tmp_path, edit, problem):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(60), 60)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert verify_catalog(path) == (8, [f"line 1: {problem}"])
+
     def test_negative_header_max_length_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
         write_catalog(path, [], -5)
         assert verify_catalog(path) == (0, ["line 1: max_length -5 is not a nonnegative integer"])
 
     def test_rows_beyond_max_length_rejected_unfactored(self, tmp_path, monkeypatch):
-        entries = sweep_catalog(60)
+        reports = sweep_catalog(60)
         path = str(tmp_path / "catalog.ndjson")
-        write_catalog(path, entries, 10)
+        write_catalog(path, reports, 10)
         factorize = arithmetic.factorize
 
         def guarded(n):
@@ -348,8 +383,8 @@ class TestVerify:
         monkeypatch.setattr(arithmetic, "factorize", guarded)
         count, problems = verify_catalog(path)
         assert count == 8
-        assert problems == [f"line {i}: length {e.length} exceeds the header's max_length 10"
-                            for i, e in enumerate(entries, start=2) if e.length > 10]
+        assert problems == [f"line {i}: length {r.length} exceeds the header's max_length 10"
+                            for i, r in enumerate(reports, start=2) if r.length > 10]
         assert len(problems) == 6
 
     def test_verify_uses_no_dense_algebra(self, tmp_path, monkeypatch):
@@ -406,7 +441,7 @@ class TestVerify:
 
 
 class TestCertificatesRecheck:
-    def test_certificates_reload_as_logical_operators(self, entries_200):
-        for e in entries_200:
-            code = build(canonical_spec(e.alpha, e.n))
-            assert css.is_logical_x(code, sum(1 << i for i in e.report.certificate))
+    def test_certificates_reload_as_logical_operators(self, reports_200):
+        for r in reports_200:
+            code = build(canonical_spec(r.alpha, r.n))
+            assert css.is_logical_x(code, sum(1 << i for i in r.certificate))

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from gbcodex.cli import main
+from gbcodex.distance import determine, lattice_lower_bound
+from gbcodex.gbcode import canonicalize_w2
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -80,10 +84,37 @@ class TestBound:
         assert code == 0
         assert "alpha=7" in out and "lower-bound=4" in out
 
-    def test_non_coprime_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "bound", "--u", "2", "--v", "3", "--n", "8")
+    def test_non_invertible_u_swapped(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--u", "2", "--v", "3", "--n", "8")
+        assert code == 0
+        assert "alpha=6" in out
+
+    def test_small_n_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--u", "1", "--v", "2", "--n", "5")
+        assert code == 0
+        assert "alpha=2 lower-bound=3 lambda2=5" in out
+
+    def test_irreducible_pair_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "bound", "--u", "2", "--v", "4", "--n", "8")
         assert code == 2
-        assert "relatively prime" in err
+        assert "invertible" in err
+
+    def test_bound_agrees_with_determine(self, capsys):
+        exact = functools.cache(lambda alpha, n: determine(alpha, n).exact)
+        checked = 0
+        for n in range(2, 21):
+            for u in range(1, n):
+                for v in range(1, n):
+                    try:
+                        alpha = canonicalize_w2(u, v, n)
+                    except ValueError:
+                        continue
+                    code, out, _ = run_cli(capsys, "bound", "--u", str(u), "--v", str(v), "--n", str(n))
+                    match = re.fullmatch(r"alpha=(\d+) lower-bound=(\d+) lambda2=\d+\n", out)
+                    assert code == 0 and match and int(match[1]) == alpha, (u, v, n, out)
+                    assert int(match[2]) == lattice_lower_bound(alpha, n).bound <= exact(alpha, n)
+                    checked += 1
+        assert checked == 1997  # of the 2470 pairs, those with u or v invertible mod n
 
 
 class TestSweepAndVerify:

@@ -5,12 +5,11 @@ import pytest
 from gbcodex import css, distance, gbcode, gf2matrix
 from gbcodex.distance import (
     determine,
-    reduced_pair_lower_bound,
     lattice_lower_bound,
     parity_refined_lower,
     upper_bound_certificate,
 )
-from gbcodex.gbcode import build, canonical_spec
+from gbcodex.gbcode import build, canonical_spec, canonicalize_w2
 from gbcodex.lattice import ceil_sqrt
 from oracle_utils import gb_check_rows, graphlike_min_logical, scan_lambda2, scan_min_l1
 
@@ -35,21 +34,26 @@ class TestLatticeBound:
 
 
 class TestCorollaryBound:
+    """The bound for (1 + x^u, 1 + x^v) is the bound of its canonical alpha."""
+
     def test_u_one_is_identity(self):
-        assert reduced_pair_lower_bound(1, 5, 13) == lattice_lower_bound(5, 13).bound
+        assert canonicalize_w2(1, 5, 13) == 5
 
     def test_reduced_alpha(self):
         # u=3, v=1, n=10 reduces to alpha=7; lattice minimum is 10
-        assert reduced_pair_lower_bound(3, 1, 10) == 4
+        assert lattice_lower_bound(canonicalize_w2(3, 1, 10), 10).bound == 4
         assert scan_lambda2(7, 10) == 10
 
-    def test_coprimality_enforced(self):
-        with pytest.raises(ValueError, match="relatively prime"):
-            reduced_pair_lower_bound(2, 3, 8)
+    def test_swapped_generators_share_alpha(self):
+        # u = 2 is not invertible mod 8, so the generators are swapped: the same
+        # equivalence that construct applies
+        assert canonicalize_w2(2, 3, 8) == canonicalize_w2(3, 2, 8) == 6
 
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError, match="n > max"):
-            reduced_pair_lower_bound(1, 2, 5)
+    def test_small_n_bound_below_distance(self):
+        # d = min-L1 >= ceil(lambda) at every n, not only n >= 6
+        for n in range(2, 7):
+            for alpha in range(1, n):
+                assert lattice_lower_bound(alpha, n).bound <= determine(alpha, n).exact
 
 
 class TestUpperBoundCertificate:

@@ -4,7 +4,6 @@ import pytest
 
 from gbcodex import css
 from gbcodex.gbcode import (
-    CanonicalW2,
     GbSpec,
     build,
     canonical_spec,
@@ -113,12 +112,12 @@ class TestShiftNormalize:
 
 class TestCanonicalizeW2:
     def test_identity_reduction(self):
-        assert canonicalize_w2(1, 2, 5) == CanonicalW2(2, 5)
+        assert canonicalize_w2(1, 2, 5) == 2
 
     def test_inverse_reduction(self):
         # 3^{-1} mod 10 = 7, independently: 3 * 7 = 21 = 1 mod 10
         assert pow(3, -1, 10) == 7
-        assert canonicalize_w2(3, 1, 10).alpha == 7
+        assert canonicalize_w2(3, 1, 10) == 7
 
     def test_equivalent_codes_same_exhaustive_distance(self):
         lhs = build(GbSpec(P("1+x^3"), P("1+x"), 10))
@@ -127,8 +126,7 @@ class TestCanonicalizeW2:
 
     def test_swap_fallback_when_u_not_invertible(self):
         # gcd(4, 10) != 1 but gcd(3, 10) = 1: swap generators first
-        c = canonicalize_w2(4, 3, 10)
-        assert c.alpha == 4 * pow(3, -1, 10) % 10
+        assert canonicalize_w2(4, 3, 10) == 4 * pow(3, -1, 10) % 10
 
     def test_irreducible_pair_rejected(self):
         with pytest.raises(ValueError, match="invertible"):
