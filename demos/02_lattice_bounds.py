@@ -6,8 +6,8 @@ least the Euclidean length of the shortest nonzero lattice vector, and a
 staircase walk realizing a minimal-L1 lattice vector gives an explicit
 logical operator.  The code is the toric code on Z^2 modulo the lattice, so
 that operator is a minimum: the distance is exactly the minimal L1 norm.
-When alpha^2 = -1 mod n the squared lattice minimum is a positive multiple
-of n, so the distance scales like sqrt(n) at length 2n.
+When alpha^2 = -1 mod n the lattice is square and its squared minimum equals
+n, so the distance scales like sqrt(n) at length 2n.
 """
 
 import math

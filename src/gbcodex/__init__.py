@@ -6,14 +6,7 @@ explicit logical-operator certificates, and catalog sweeps over all
 admissible lengths.
 """
 
-from .arithmetic import (
-    factorize,
-    is_admissible,
-    kitaev_spec,
-    optimized_kitaev_spec,
-    sqrt_minus_one_all,
-    sqrt_minus_one_mod_prime_power,
-)
+from .arithmetic import is_admissible, kitaev_spec, optimized_kitaev_spec, primitive_two_squares, sqrt_minus_one_all
 from .catalog import analyze_length, sweep_catalog, verify_catalog, write_catalog
 from .css import CssCode, dimension, exhaustive_distance, is_logical_x, min_weight_logical, new_css
 from .distance import (

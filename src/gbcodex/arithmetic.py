@@ -1,98 +1,55 @@
 """Number theory for the admissible code lengths.
 
 The lattice bound is strongest when n divides 1 + alpha^2, i.e. when alpha is
-a square root of -1 mod n.  Such a root exists exactly for n of the shape
-2^e * prod(p_i^{e_i}) with e <= 1 and every odd prime p_i = 1 mod 4; the full
-root set is assembled from the prime-power components by the Chinese
-remainder theorem.  The roots of -1 mod an odd prime power are one pair
-+-r, so the root set does not depend on how r is found: a deterministic scan
-for the least quadratic nonresidue, then a Hensel lift.
+a square root of -1 mod n.  Such a root exists exactly when n is a primitive
+sum of two squares, n = a^2 + b^2 with gcd(a, b) = 1, and each mirror class
+{r, n - r} of roots is one such representation with r = +-a/b mod n: b is a
+unit, since gcd(b, n) = gcd(b, a^2) = 1, and (a/b)^2 = -1 as b^2 = -a^2 mod n.
+So one scan over b decides admissibility and yields every root; the class
++-a/b has the square lattice spanned by (-a, b) and (b, a), whose min-L1 is
+a + b.
 """
 
 from __future__ import annotations
+
+import math
 
 from .gbcode import GbSpec
 from .gf2poly import BinaryPolynomial, reduce_mod_xn
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, primes ascending."""
+def primitive_two_squares(n: int) -> list[tuple[int, int]]:
+    """Every (a, b) with 0 <= a <= b, gcd(a, b) = 1 and a^2 + b^2 = n, a ascending.
+
+    Scans b down from isqrt(n) while 2b^2 >= n, about 0.29 sqrt(n) steps.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     out = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append((m, 1))
+    # the least b with 2b^2 >= n is isqrt((n - 1) // 2) + 1
+    for b in range(math.isqrt(n), math.isqrt((n - 1) // 2), -1):
+        a2 = n - b * b
+        a = math.isqrt(a2)
+        if a * a == a2 and math.gcd(a, b) == 1:
+            out.append((a, b))
     return out
 
 
 def is_admissible(n: int) -> bool:
-    """True iff -1 is a square mod n: n = 2^e * prod p_i^{e_i}, e <= 1, p_i = 1 mod 4."""
-    for p, e in factorize(n):
-        if p == 2:
-            if e > 1:
-                return False
-        elif p % 4 != 1:
-            return False
-    return True
-
-
-def sqrt_minus_one_mod_prime_power(p: int, eps: int = 1) -> list[int]:
-    """Both residues r with r^2 = -1 mod p^eps, for a prime p = 1 mod 4.
-
-    A root mod p is a^((p-1)/4) for the least quadratic nonresidue a; the
-    root is then Hensel-lifted to the requested exponent.
-    """
-    if p % 4 != 1:
-        raise ValueError(f"p = {p} is not congruent to 1 mod 4")
-    if eps < 1:
-        raise ValueError("eps must be positive")
-    exp = (p - 1) // 4
-    root = next((r for r in (pow(a, exp, p) for a in range(2, p)) if r * r % p == p - 1), None)
-    if root is None:
-        raise ValueError(f"no square root of -1 modulo {p}")
-
-    modulus = p
-    for _ in range(eps - 1):
-        # Newton step for f(r) = r^2 + 1 lifts a root mod p^j to mod p^(j+1).
-        modulus *= p
-        root = (root - (root * root + 1) * pow(2 * root, -1, modulus)) % modulus
-    return sorted((root, modulus - root))
+    """True iff -1 is a square mod n, i.e. n is a primitive sum of two squares."""
+    return bool(primitive_two_squares(n))
 
 
 def sqrt_minus_one_all(n: int) -> list[int]:
-    """All alpha in [1, n-1] with alpha^2 = -1 mod n, via CRT over the factorization.
+    """All alpha in [1, n-1] with alpha^2 = -1 mod n, two per representation +-a/b.
 
     For admissible n > 2 there are 2^s of them, s the number of odd prime
     factors; n = 2 gives [1] and n = 1 gives [].
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not is_admissible(n):
+    reps = primitive_two_squares(n)
+    if not reps:
         raise ValueError(f"no square root of -1 modulo {n}")
-    if n == 1:
-        return []
-    residues = [(1, 1)]  # list of (value mod m, m)
-    for p, e in factorize(n):
-        m = p**e
-        component = [1] if p == 2 else sqrt_minus_one_mod_prime_power(p, e)
-        combined = []
-        for r0, m0 in residues:
-            for r1 in component:
-                # x = r0 mod m0, x = r1 mod m
-                x = (r0 + m0 * ((r1 - r0) * pow(m0, -1, m) % m)) % (m0 * m)
-                combined.append((x, m0 * m))
-        residues = combined
-    return sorted(r for r, _ in residues)
+    return sorted({sign * a * pow(b, -1, n) % n for a, b in reps for sign in (1, -1)} - {0})
 
 
 def kitaev_spec(m: int) -> GbSpec:

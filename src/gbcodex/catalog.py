@@ -111,7 +111,7 @@ def analyze_length(n: int) -> DistanceReport | None:
 
 def sweep_catalog(max_length: int) -> list[DistanceReport]:
     """All best-per-n reports with 2n <= max_length, sorted by (d, length, alpha)."""
-    results = (analyze_length(n) for n in range(1, max_length // 2 + 1) if arithmetic.is_admissible(n))
+    results = (analyze_length(n) for n in range(1, max_length // 2 + 1))
     return sorted((r for r in results if r is not None), key=lambda r: (r.exact, r.length, r.alpha))
 
 
@@ -174,7 +174,7 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
     ``keys`` lists the stored columns (None for a full JSON record, which
     must hold every field and the certificate); ``render`` gives the stored
     text form of a value.  Duplicates and out-of-range lengths are rejected
-    before n is factored.
+    before the roots of -1 mod n are sought.
     """
     n, alpha = int(row["n"]), int(row["alpha"])
     if n in seen:

@@ -43,8 +43,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_distance(args: argparse.Namespace) -> int:
     report = determine(args.alpha, args.n)
     print(f"alpha={report.alpha} n={report.n} length={report.length} k={report.k}")
-    hyp = "yes" if report.hypothesis_met else "no (n < 6)"
-    print(f"lower={report.lower_bound} (hypothesis-met={hyp})")
+    print(f"lower={report.lower_bound}")
     print(f"upper={report.upper_bound} exact={report.exact} method={report.method}")
     print(f"certificate={list(report.certificate)} (weight {len(report.certificate)})")
     return 0

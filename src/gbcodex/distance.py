@@ -50,10 +50,11 @@ class LatticeBound(NamedTuple):
 
 
 def lattice_lower_bound(alpha: int, n: int) -> LatticeBound:
-    """Distance >= ceil(shortest Euclidean lattice length), proven for n >= 6.
+    """Distance >= ceil(shortest Euclidean lattice length), at every n.
 
-    For n < 6 the lattice quantity is still returned, flagged as outside the
-    proven hypothesis.
+    The bound holds because d = min-L1 >= ceil(lambda) (see ``determine``).
+    ``hypothesis_met`` (n >= 6) only records the paper's stated hypothesis;
+    it stays in the report and the catalog until the schema-v3 change.
     """
     lam2 = shortest_norm2(gb_lattice(alpha, n))
     return LatticeBound(ceil_sqrt(lam2), n >= 6)

@@ -8,6 +8,7 @@ bit-packed fast paths cannot hide in its own mirror image.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 
 def poly_mask_to_set(mask: int) -> set[int]:
@@ -89,6 +90,20 @@ def naive_min_logical(h_rows: list[int], other_rows: list[int], ncols: int) -> i
             if best is None or w < best:
                 best = w
     return best
+
+
+def scan_primitive_two_squares(n: int) -> list[tuple[int, int]]:
+    """Every (a, b) with 0 <= a <= b, gcd(a, b) = 1 and a^2 + b^2 = n, by a double loop."""
+    out = []
+    for a in range(n + 1):
+        if 2 * a * a > n:
+            break
+        for b in range(a, n + 1):
+            if a * a + b * b > n:
+                break
+            if a * a + b * b == n and gcd(a, b) == 1:
+                out.append((a, b))
+    return out
 
 
 def scan_roots_of_minus_one(n: int) -> list[int]:

@@ -1,41 +1,40 @@
-import random
-
 import pytest
 
 from gbcodex import css
 from gbcodex.arithmetic import (
-    factorize,
     is_admissible,
     kitaev_spec,
     optimized_kitaev_spec,
+    primitive_two_squares,
     sqrt_minus_one_all,
-    sqrt_minus_one_mod_prime_power,
 )
+from gbcodex.catalog import strongest_root
 from gbcodex.gbcode import build, dimension_formula, shift_normalize, weight2_exponents
-from oracle_utils import scan_roots_of_minus_one
+from gbcodex.lattice import gb_lattice, min_l1
+from oracle_utils import scan_primitive_two_squares, scan_roots_of_minus_one
 
 
-class TestFactorize:
+class TestPrimitiveTwoSquares:
     @pytest.mark.parametrize(
-        "n,facs",
+        "n,reps",
         [
-            (74, [(2, 1), (37, 1)]),
-            (65, [(5, 1), (13, 1)]),
-            (1, []),
-            (360, [(2, 3), (3, 2), (5, 1)]),
+            (74, [(5, 7)]),
+            (65, [(1, 8), (4, 7)]),
+            (1, [(0, 1)]),
+            (360, []),
         ],
     )
-    def test_examples(self, n, facs):
-        assert factorize(n) == facs
+    def test_examples(self, n, reps):
+        assert primitive_two_squares(n) == reps
 
-    def test_reconstructs(self):
-        rng = random.Random(127)
-        for _ in range(100):
-            n = rng.randrange(1, 100000)
-            prod = 1
-            for p, e in factorize(n):
-                prod *= p**e
-            assert prod == n
+    def test_matches_brute_force(self):
+        for n in range(1, 2001):
+            assert primitive_two_squares(n) == scan_primitive_two_squares(n)
+
+    def test_nonpositive_rejected(self):
+        for n in (0, -1, -65):
+            with pytest.raises(ValueError, match="positive"):
+                primitive_two_squares(n)
 
 
 class TestAdmissible:
@@ -51,24 +50,25 @@ class TestAdmissible:
 
 
 class TestPrimePowerRoots:
+    # the roots of -1 mod an odd prime power are one mirror pair
     @pytest.mark.parametrize("p,eps,roots", [(5, 1, [2, 3]), (13, 1, [5, 8]), (5, 2, [7, 18])])
     def test_examples(self, p, eps, roots):
-        assert sqrt_minus_one_mod_prime_power(p, eps) == roots
+        assert sqrt_minus_one_all(p**eps) == roots
 
     def test_lifted_roots_square_to_minus_one(self):
         for p in (5, 13, 17, 29):
             for eps in (1, 2, 3):
                 m = p**eps
-                for r in sqrt_minus_one_mod_prime_power(p, eps):
+                roots = sqrt_minus_one_all(m)
+                assert len(roots) == 2
+                for r in roots:
                     assert r * r % m == m - 1
 
     def test_wrong_residue_class_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt_minus_one_mod_prime_power(7)
-        # 9 and 21 are 1 mod 4 but not prime: the nonresidue scan finds no root.
-        for p in (9, 21):
+        # 9 and 21 are 1 mod 4 but have a prime factor 3 mod 4, like 7 itself
+        for p in (7, 9, 21):
             with pytest.raises(ValueError, match="no square root"):
-                sqrt_minus_one_mod_prime_power(p)
+                sqrt_minus_one_all(p)
 
 
 class TestAllRoots:
@@ -77,18 +77,30 @@ class TestAllRoots:
         assert sqrt_minus_one_all(n) == roots
 
     def test_matches_scan(self):
-        for n in range(1, 500):
+        for n in range(1, 2000):
             if is_admissible(n):
                 assert sqrt_minus_one_all(n) == scan_roots_of_minus_one(n)
 
     def test_count_is_power_of_two(self):
-        for n in (5, 25, 65, 85, 325, 1105):
-            s = sum(1 for p, _ in factorize(n) if p != 2)
-            assert len(sqrt_minus_one_all(n)) == 2**s
+        # 2^s roots for s odd prime factors: s = 1 for 5 and 25, 2 for 65, 85 and 325, 3 for 1105
+        counts = {5: 2, 25: 2, 65: 4, 85: 4, 325: 4, 1105: 8}
+        for n, count in counts.items():
+            assert len(sqrt_minus_one_all(n)) == count
 
     def test_non_admissible_rejected(self):
         with pytest.raises(ValueError, match="no square root"):
             sqrt_minus_one_all(12)
+
+
+class TestLatticeOfRepresentation:
+    def test_class_distance_is_a_plus_b(self):
+        # the class +-a/b has the square lattice spanned by (-a, b) and (b, a), of min-L1 a + b
+        for n in range(2, 2001):
+            reps = primitive_two_squares(n)
+            for a, b in reps:
+                assert min_l1(gb_lattice(a * pow(b, -1, n) % n, n)).value == a + b
+            if reps:
+                assert min_l1(gb_lattice(strongest_root(n), n)).value == max(a + b for a, b in reps)
 
 
 class TestFamilies:

@@ -374,13 +374,13 @@ class TestVerify:
         reports = sweep_catalog(60)
         path = str(tmp_path / "catalog.ndjson")
         write_catalog(path, reports, 10)
-        factorize = arithmetic.factorize
+        primitive_two_squares = arithmetic.primitive_two_squares
 
         def guarded(n):
-            assert 2 * n <= 10, f"factored n = {n} beyond the header's max_length"
-            return factorize(n)
+            assert 2 * n <= 10, f"scanned n = {n} beyond the header's max_length"
+            return primitive_two_squares(n)
 
-        monkeypatch.setattr(arithmetic, "factorize", guarded)
+        monkeypatch.setattr(arithmetic, "primitive_two_squares", guarded)
         count, problems = verify_catalog(path)
         assert count == 8
         assert problems == [f"line {i}: length {r.length} exceeds the header's max_length 10"

@@ -58,6 +58,13 @@ class TestDistance:
         assert code == 0
         assert "exact=3" in out
 
+    def test_lower_printed_without_hypothesis_flag(self, capsys):
+        # d = min-L1 >= ceil(lambda) at every n, so n < 6 needs no caveat
+        code, out, _ = run_cli(capsys, "distance", "--alpha", "2", "--n", "5")
+        assert code == 0
+        assert "lower=3" in out.splitlines()
+        assert "hypothesis" not in out
+
     def test_grid_member(self, capsys):
         code, out, _ = run_cli(capsys, "distance", "--alpha", "3", "--n", "9")
         assert code == 0
