@@ -1,20 +1,22 @@
 """Catalog sweep over admissible lengths, persistence, and re-verification.
 
-Every record is fixed by its length n.  ``strongest_root(n)`` picks the root
-class of -1 mod n with the largest min-L1 (ties to the smaller alpha), and
-``lattice_fields(alpha, n)`` derives every stored field but the certificate
-from the lattice and the roots of -1; k is the closed form
+Every record is fixed by its length n.  The roots of -1 mod n are sought
+once per n; the root class with the largest min-L1 (ties to the smaller
+alpha) is the record's alpha (``strongest_root``), and
+``lattice_fields(alpha, n, alphas)`` derives every stored field but the
+certificate from the lattice and those roots; k is the closed form
 ``distance.CANONICAL_K``.  The sweep visits every admissible n with
 2n <= max_length and calls ``determine`` once, on that root, for the
-certificate.  Reports serialize to newline-delimited JSON (full records) or
-to a flat CSV export; every numeric field is an exact integer.  The JSON
-header records max_length and a seed, which is only a label: nothing in the
-sweep depends on it.  ``verify`` runs the same two functions on every record
-of either format and compares each stored field with the recomputed one.  It
-rejects a second row for the same n and, for JSON, a row beyond the header's
-max_length, reports the first admissible n within it that has no JSON row,
-and checks each certificate on the torus graph (zero boundary, odd overlap
-with a dual logical), with no dense algebra.
+certificate; its reports carry the roots to the writer.  Reports serialize
+to newline-delimited JSON (full records) or to a flat CSV export; every
+numeric field is an exact integer.  The JSON header records max_length and
+a seed, which is only a label: nothing in the sweep depends on it.
+``verify`` runs the same two functions on every record of either format and
+compares each stored field with the recomputed one.  It rejects a second
+row for the same n and, for JSON, a row beyond the header's max_length,
+reports the first admissible n within it that has no JSON row, and checks
+each certificate on the torus graph (zero boundary, odd overlap with a dual
+logical), with no dense algebra.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 from . import arithmetic
 from .distance import CANONICAL_K, DistanceReport, determine, lattice_lower_bound
@@ -58,6 +61,19 @@ def classify_family(alpha: int, n: int) -> str:
     return TAG_NEW
 
 
+def _roots(n: int) -> list[int]:
+    """Every root of -1 in [1, n - 1]; empty when there is none."""
+    try:
+        return arithmetic.sqrt_minus_one_all(n)
+    except ValueError:
+        return []
+
+
+def _strongest(roots: list[int], n: int) -> int | None:
+    classes = {min(a, n - a) for a in roots}
+    return max(classes, key=lambda a: (min_l1(gb_lattice(a, n)).value, -a), default=None)
+
+
 def strongest_root(n: int) -> int | None:
     """The root class of -1 mod n with the largest min-L1, ties to the smaller alpha.
 
@@ -65,20 +81,16 @@ def strongest_root(n: int) -> int | None:
     lattices are mirror images, so they share min-L1.  None when n has no
     square root of -1 in [1, n - 1].
     """
-    try:
-        roots = arithmetic.sqrt_minus_one_all(n)
-    except ValueError:
-        return None
-    classes = {min(a, n - a) for a in roots}
-    return max(classes, key=lambda a: (min_l1(gb_lattice(a, n)).value, -a), default=None)
+    return _strongest(_roots(n), n)
 
 
-def lattice_fields(alpha: int, n: int) -> dict:
+def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
     """Every catalog field that (alpha, n) fixes, which is all but the certificate.
 
-    Values are in their JSON form.  Only the lattice and the roots of -1 are
-    computed: k is ``CANONICAL_K``, d = upper = exact = min-L1 by the argument
-    in ``determine``, and lower is the Euclidean bound.
+    ``alphas`` is every root of -1 mod n, which the caller has already found
+    to pick alpha.  Values are in their JSON form.  Only the lattice is
+    computed: k is ``CANONICAL_K``, d = upper = exact = min-L1 by the
+    argument in ``determine``, and lower is the Euclidean bound.
     """
     lat = gb_lattice(alpha, n)
     reduced, l1 = gauss_reduce(lat), min_l1(lat)
@@ -86,7 +98,7 @@ def lattice_fields(alpha: int, n: int) -> dict:
     return {
         "n": n,
         "alpha": alpha,
-        "alphas": arithmetic.sqrt_minus_one_all(n),
+        "alphas": list(alphas),
         "length": 2 * n,
         "k": CANONICAL_K,
         "d": l1.value,
@@ -104,9 +116,10 @@ def lattice_fields(alpha: int, n: int) -> dict:
 
 
 def analyze_length(n: int) -> DistanceReport | None:
-    """The report of n's strongest root, or None when no root exists."""
-    alpha = strongest_root(n)
-    return None if alpha is None else determine(alpha, n)
+    """The report of n's strongest root, carrying n's roots, or None when no root exists."""
+    roots = _roots(n)
+    alpha = _strongest(roots, n)
+    return None if alpha is None else replace(determine(alpha, n), alphas=tuple(roots))
 
 
 def sweep_catalog(max_length: int) -> list[DistanceReport]:
@@ -116,7 +129,9 @@ def sweep_catalog(max_length: int) -> list[DistanceReport]:
 
 
 def entry_to_dict(report: DistanceReport) -> dict:
-    return {**lattice_fields(report.alpha, report.n), "certificate": list(report.certificate)}
+    """The catalog record of a report; n's roots are sought only if the report lacks them."""
+    alphas = report.alphas if report.alphas is not None else arithmetic.sqrt_minus_one_all(report.n)
+    return {**lattice_fields(report.alpha, report.n, alphas), "certificate": list(report.certificate)}
 
 
 def _header_dict(max_length: int, seed: int) -> dict:
@@ -182,12 +197,13 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
     seen.add(n)
     if max_length is not None and 2 * n > max_length:
         return [f"length {2 * n} exceeds the header's max_length {max_length}"]
-    best = strongest_root(n)
+    roots = _roots(n)
+    best = _strongest(roots, n)
     if best is None:
         return [f"n = {n} has no square root of -1 in [1, n - 1]"]
     if alpha != best:
         return [f"alpha {alpha} is not the strongest root of -1 mod {n} (expected {best})"]
-    fields = lattice_fields(alpha, n)
+    fields = lattice_fields(alpha, n, roots)
     keys = keys or [*fields, "certificate"]
     problems = [f"missing key {key}" for key in keys if key not in row]
     problems += [f"unexpected key {key}" for key in row if key not in keys]

@@ -4,12 +4,16 @@ A CSS code is a pair of GF(2) parity-check matrices with orthogonal row
 spaces.  The exhaustive distance oracle enumerates an entire kernel,
 decomposed as stabilizer span plus logical generators, so the row-space
 membership test reduces to "is the logical coefficient part nonzero".
-Blocks of 2^16 stabilizer combinations are swept with vectorized XOR and
-popcounts, which keeps a 2^26 kernel under a second.
+Blocks of up to 2^16 stabilizer combinations are swept with vectorized XOR
+and popcounts, and a pivot-weight lower bound skips the rows of a block
+that cannot beat the best weight so far: a 2^26 kernel of distance 7,
+(1 + x, 1 + x^7) at n = 25, takes about 22 ms (2-vCPU Xeon 2.0 GHz VM,
+Python 3.11, numpy 2.4), against about 140 ms with every row swept.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import gf2matrix
@@ -80,12 +84,42 @@ def logical_space(code: CssCode, side: str = "X") -> tuple[list[int], list[int]]
     return list(stab_rows), logicals
 
 
+@functools.cache
+def _popcount_order(low_bits: int):
+    """Table row indices ordered by popcount, and where each popcount level starts.
+
+    Returns (order, starts): ``order`` lists 0 .. 2^low_bits - 1 by popcount,
+    stably, as a read-only int32 array, and ``starts[w]`` is the number of
+    indices with popcount below w, for w = 0 .. low_bits + 1.  Both depend on
+    low_bits alone, so each is built once per process.
+    """
+    import numpy as np
+
+    counts = np.bitwise_count(np.arange(1 << low_bits, dtype=np.uint32))
+    order = np.argsort(counts, kind="stable").astype(np.int32)
+    order.flags.writeable = False
+    starts = (0, *np.cumsum(np.bincount(counts, minlength=low_bits + 1)).tolist())
+    return order, starts
+
+
 def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int) -> tuple[int, int]:
     """Minimum weight over span(stabilizers) + nonzero-span(logicals).
 
-    Returns (weight, witness vector).  The low 2^l stabilizer combinations are
-    tabulated once; the remaining generators are walked in Gray-code order so
-    each block costs one XOR of the whole table.
+    Returns (weight, witness vector).  The first l <= 16 stabilizers (the
+    lows) are tabulated once, all 2^l combinations; the remaining generators
+    (the highs) are walked in Gray-code order, and each block of the sweep
+    XORs one high combination into the table.
+
+    Most rows are skipped by a pivot-weight bound, the lower-bound pruning of
+    the Brouwer-Zimmermann minimum-distance algorithm.  The lows are brought
+    to reduced echelon form, so low k alone has its pivot bit p_k, and every
+    high is reduced against them, so every high combination is zero on all
+    pivots.  Row j of the table then has bit p_k set exactly when bit k of j
+    is set, in every block, so its weight is at least popcount(j).  With the
+    table ordered by popcount(j), a block only has to scan the prefix of rows
+    with popcount(j) below the best weight found so far; no row past it can
+    win.  Neither reduction changes the set of vectors swept, so the minimum
+    is exact.
     """
     # Imported here, not at module level: only this sweep uses numpy, and
     # loading it costs import time, memory and a BLAS thread.
@@ -96,22 +130,30 @@ def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int)
     def pack(v: int):
         return np.array([(v >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(words)], dtype=np.uint64)
 
-    if hasattr(np, "bitwise_count"):
-        popcount = np.bitwise_count
-    else:  # numpy < 2: a byte table
-        pop8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-        def popcount(buf):
-            return pop8[buf.view(np.uint8)]
-
     low_bits = min(len(stabilizers), _LOW_BLOCK_BITS)
-    lows = stabilizers[:low_bits]
-    highs = stabilizers[low_bits:] + logicals
+    lows: list[int] = []  # reduced echelon form, each pivot the lowest set bit
 
+    def reduce(v: int) -> int:
+        """v plus the lows that clear it on every pivot."""
+        for w in lows:
+            if v & w & -w:
+                v ^= w
+        return v
+
+    for v in stabilizers[:low_bits]:
+        v = reduce(v)
+        lows = [w ^ v if w & v & -v else w for w in lows]
+        lows.append(v)
+    highs = [reduce(v) for v in stabilizers[low_bits:] + logicals]
+
+    order, starts = _popcount_order(low_bits)
     table = np.zeros((1 << low_bits, words), dtype=np.uint64)
     for j, v in enumerate(lows):
         size = 1 << j
         table[size : 2 * size] = table[:size] ^ pack(v)
+    table = table[order]  # row i is the combination order[i] of the lows
+    xor = np.empty_like(table)
+    pop = np.empty(table.shape, dtype=np.uint8)
 
     n_high = len(highs)
     logical_mask = ((1 << len(logicals)) - 1) << (n_high - len(logicals))
@@ -120,8 +162,10 @@ def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int)
     best_weight = None
     best_combo = 0
     best_index = 0
+    # the rows that can still beat best_weight (all of them until one is found),
+    # with their slices of the output buffers
+    rows, xor_rows, pop_rows = table, xor, pop
     acc = np.zeros(words, dtype=np.uint64)
-    buf = np.empty_like(table)
     combo = 0
     for t in range(1, 1 << n_high):
         flip = (t & -t).bit_length() - 1
@@ -129,12 +173,14 @@ def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int)
         combo ^= 1 << flip
         if not combo & logical_mask:
             continue
-        np.bitwise_xor(table, acc, out=buf)
-        weights = popcount(buf).sum(axis=1, dtype=np.int64)
-        i = int(weights.argmin())
-        w = int(weights[i])
+        np.bitwise_xor(rows, acc, out=xor_rows)
+        np.bitwise_count(xor_rows, out=pop_rows)
+        weights = pop_rows[:, 0] if words == 1 else pop_rows.sum(axis=1)
+        w = int(weights.min())
         if best_weight is None or w < best_weight:
-            best_weight, best_combo, best_index = w, combo, i
+            best_weight, best_combo, best_index = w, combo, int(order[weights.argmin()])
+            limit = starts[min(w, low_bits + 1)]
+            rows, xor_rows, pop_rows = table[:limit], xor[:limit], pop[:limit]
 
     witness = 0
     for j in range(n_high):
@@ -150,7 +196,9 @@ def min_weight_logical(code: CssCode, side: str = "X", cap: int = DEFAULT_KERNEL
     """Minimum-weight logical operator on one side: (weight, witness), or None if k = 0.
 
     Enumerates the full kernel of the side matrix, so the kernel dimension
-    must not exceed ``cap``.
+    must not exceed ``cap``.  Only the weight and the witness's logicality
+    are specified: when several logicals share the minimum weight, which
+    one is returned is an implementation detail and may change.
     """
     stabilizers, logicals = logical_space(code, side)
     kernel_dim = len(stabilizers) + len(logicals)

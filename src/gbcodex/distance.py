@@ -9,7 +9,7 @@ the paper's Euclidean lower bound as the ``lower`` column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lattice import ceil_sqrt, enumerate_short, gb_lattice, min_l1, shortest_norm2
@@ -29,6 +29,9 @@ class DistanceReport:
     hypothesis_met: bool
     upper_bound: int
     certificate: tuple[int, ...]
+    # every root of -1 mod n, when the caller already found them (the catalog
+    # sweep does, to pick alpha); a function of n, so not compared
+    alphas: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def length(self) -> int:

@@ -145,6 +145,26 @@ class TestSweep:
         assert len(calls) == len(reports) == 22
         assert sorted(calls) == sorted((r.alpha, r.n) for r in reports)
 
+    def test_roots_sought_once_per_n(self, tmp_path, monkeypatch):
+        scanned = []
+        primitive_two_squares = arithmetic.primitive_two_squares
+
+        def counted(n):
+            scanned.append(n)
+            return primitive_two_squares(n)
+
+        monkeypatch.setattr(arithmetic, "primitive_two_squares", counted)
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(200), 200)
+        assert scanned == list(range(1, 101))
+        scanned.clear()
+        assert verify_catalog(path) == (22, [])
+        assert sorted(scanned) == list(range(2, 101))
+        # a report made by determine alone has no roots; its record seeks them
+        r = analyze_length(65)
+        assert r.alphas is not None and determine(r.alpha, r.n).alphas is None
+        assert entry_to_dict(determine(r.alpha, r.n)) == entry_to_dict(r)
+
     def test_family_tags(self, reports_200):
         tags = {r.n: entry_to_dict(r)["tag"] for r in reports_200}
         for n in (5, 13, 25, 41, 61, 85):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,15 @@ from gbcodex import css
 from gbcodex.gbcode import GbSpec, build, canonical_spec
 from gbcodex.gf2matrix import BitMatrix
 from gbcodex.gf2poly import parse_poly
-from oracle_utils import bit_rows_to_lists, gb_check_rows, graphlike_min_logical, naive_min_logical, to_masks
+from oracle_utils import (
+    bit_rows_to_lists,
+    gb_check_rows,
+    graphlike_min_logical,
+    list_rank_gf2,
+    naive_min_logical,
+    span,
+    to_masks,
+)
 
 
 def P(text):
@@ -128,6 +137,97 @@ class TestExhaustiveDistance:
     def test_bad_side_rejected(self, code_10_2_3):
         with pytest.raises(ValueError, match="side"):
             css.exhaustive_distance(code_10_2_3, "Y")
+
+
+def _check_side(code, side, expected):
+    """min_weight_logical on one side has the expected weight and a logical witness of that weight."""
+    weight, witness = css.min_weight_logical(code, side)
+    assert weight == expected
+    assert witness.bit_count() == weight
+    own_code = code if side == "X" else css.CssCode(code.h_z, code.h_x)
+    assert css.is_logical_x(own_code, witness)
+
+
+class TestPrunedSweep:
+    """Kernel dimension 17..26: the sweep has high stabilizers, where the pivot-weight bound prunes rows."""
+
+    @pytest.mark.parametrize("n", range(16, 26))
+    def test_canonical_codes_match_graphlike(self, n):
+        for alpha in range(1, n):
+            h_x, h_z = gb_check_rows([0, 1], [0, alpha], n)
+            code = build(canonical_spec(alpha, n))
+            assert bit_rows_to_lists(code.h_x) == h_x and bit_rows_to_lists(code.h_z) == h_z
+            _check_side(code, "X", graphlike_min_logical(h_x, h_z))
+            _check_side(code, "Z", graphlike_min_logical(h_z, h_x))
+
+    # g = gcd(u, v, n) > 1 gives k = 2g logicals and kernel dimension n + g
+    @pytest.mark.parametrize("u,v,n", [
+        (4, 8, 16), (3, 6, 18), (4, 10, 18), (2, 14, 20), (5, 10, 20), (6, 9, 21), (2, 8, 24), (6, 20, 24),
+    ])
+    def test_non_canonical_pairs_match_graphlike(self, u, v, n):
+        h_x, h_z = gb_check_rows([0, u], [0, v], n)
+        code = gb(f"1+x^{u}", f"1+x^{v}", n)
+        assert bit_rows_to_lists(code.h_x) == h_x and bit_rows_to_lists(code.h_z) == h_z
+        assert css.dimension(code) == 2 * math.gcd(u, v, n)
+        _check_side(code, "X", graphlike_min_logical(h_x, h_z))
+        _check_side(code, "Z", graphlike_min_logical(h_z, h_x))
+
+    def test_padding_past_64_columns(self):
+        # p fresh columns below the code, each pinned out of ker(h_x) by an
+        # identity row, push it onto a second 64-bit word; the kernel is the same
+        code = gb("1+x", "1+x^7", 25)
+        stabilizers, logicals = css.logical_space(code, "X")
+        assert len(stabilizers) + len(logicals) > 16 + len(logicals)
+        p = 71
+        padded = css.new_css(
+            BitMatrix(tuple(1 << i for i in range(p)) + tuple(r << p for r in code.h_x.rows), p + code.length),
+            BitMatrix(tuple(r << p for r in code.h_z.rows), p + code.length),
+        )
+        weight, witness = css.min_weight_logical(code, "X")
+        padded_weight, padded_witness = css.min_weight_logical(padded, "X")
+        assert (padded.length + 63) // 64 == 2  # the sweep packs each vector into two words
+        assert (padded_weight, padded_witness >> p, padded_witness & ((1 << p) - 1)) == (weight, witness, 0)
+        assert css.is_logical_x(padded, padded_witness)
+
+
+class TestSweepEdgeCases:
+    """Against naive_min_logical; only the weight and the witness's logicality are specified."""
+
+    @pytest.mark.parametrize("x_rows,z_rows,cols,n_stabilizers", [
+        ([0b00011, 0b00110], [], 5, 0),  # no stabilizers: a one-row table
+        (list(gb("1+x", "1+x^2", 5).h_x.rows), list(gb("1+x", "1+x^2", 5).h_z.rows), 10, 4),
+        ([], [], 10, 0),  # no checks: every unit vector is a minimum-weight logical
+    ], ids=["no_stabilizers", "few_stabilizers", "all_ties"])
+    def test_matches_naive(self, x_rows, z_rows, cols, n_stabilizers):
+        code = css.new_css(BitMatrix(tuple(x_rows), cols), BitMatrix(tuple(z_rows), cols))
+        assert len(css.logical_space(code, "X")[0]) == n_stabilizers
+        _check_side(code, "X", naive_min_logical(x_rows, z_rows, cols))
+
+    def test_any_stabilizer_basis(self):
+        # logical_space returns stabilizers in reduced echelon form; the sweep
+        # must not rely on it, so feed it random bases and compare with the spans
+        rng = random.Random(41)
+        checked = 0
+        while checked < 500:
+            ncols = rng.randrange(5, 11)
+            stabilizers = [rng.getrandbits(ncols) for _ in range(rng.randrange(2, 6))]
+            logicals = [rng.getrandbits(ncols) for _ in range(rng.randrange(2, 4))]
+            vectors = stabilizers + logicals
+            if list_rank_gf2([[(v >> j) & 1 for j in range(ncols)] for v in vectors]) < len(vectors):
+                continue
+            coset_members = span(vectors) - span(stabilizers)
+            weight, witness = css._min_logical_weight(stabilizers, logicals, ncols)
+            assert weight == min(v.bit_count() for v in coset_members)
+            assert witness in coset_members and witness.bit_count() == weight
+            checked += 1
+
+    def test_many_ties_at_minimum(self):
+        # (1 + x, 1 + x, 7) has d = 2, attained by 7 logicals, x^i (1, 1)
+        code = gb("1+x", "1+x", 7)
+        x_rows, z_rows = list(code.h_x.rows), list(code.h_z.rows)
+        assert sum(v.bit_count() == 2 and css.is_logical_x(code, v) for v in range(1 << 14)) == 7
+        _check_side(code, "X", naive_min_logical(x_rows, z_rows, 14))
+        _check_side(code, "Z", naive_min_logical(z_rows, x_rows, 14))
 
 
 class TestGraphlikeOracle:
