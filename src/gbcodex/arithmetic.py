@@ -7,7 +7,7 @@ sum of two squares, n = a^2 + b^2 with gcd(a, b) = 1, and each mirror class
 unit, since gcd(b, n) = gcd(b, a^2) = 1, and (a/b)^2 = -1 as b^2 = -a^2 mod n.
 So one scan over b decides admissibility and yields every root; the class
 +-a/b has the square lattice spanned by (-a, b) and (b, a), whose min-L1 is
-a + b.
+a + b.  No two classes of one n tie, since a + b and a^2 + b^2 fix {a, b}.
 """
 
 from __future__ import annotations
@@ -40,16 +40,26 @@ def is_admissible(n: int) -> bool:
     return bool(primitive_two_squares(n))
 
 
+def root_classes(n: int) -> list[tuple[int, int]]:
+    """Each mirror class of roots of -1 in [1, n - 1], as (smaller member, min-L1 a + b).
+
+    One class +-a/b mod n per representation (a, b) of ``primitive_two_squares``;
+    n = 1 gives [], as its one representation (0, 1) gives the root 0.
+    """
+    reps = primitive_two_squares(n)
+    if not reps:
+        raise ValueError(f"no square root of -1 modulo {n}")
+    roots = [(a * pow(b, -1, n) % n, a + b) for a, b in reps]
+    return [(min(r, n - r), s) for r, s in roots if r]
+
+
 def sqrt_minus_one_all(n: int) -> list[int]:
     """All alpha in [1, n-1] with alpha^2 = -1 mod n, two per representation +-a/b.
 
     For admissible n > 2 there are 2^s of them, s the number of odd prime
     factors; n = 2 gives [1] and n = 1 gives [].
     """
-    reps = primitive_two_squares(n)
-    if not reps:
-        raise ValueError(f"no square root of -1 modulo {n}")
-    return sorted({sign * a * pow(b, -1, n) % n for a, b in reps for sign in (1, -1)} - {0})
+    return sorted({r for c, _ in root_classes(n) for r in (c, n - c)})
 
 
 def kitaev_spec(m: int) -> GbSpec:

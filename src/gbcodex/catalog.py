@@ -1,22 +1,16 @@
 """Catalog sweep over admissible lengths, persistence, and re-verification.
 
-Every record is fixed by its length n.  The roots of -1 mod n are sought
-once per n; the root class with the largest min-L1 (ties to the smaller
-alpha) is the record's alpha (``strongest_root``), and
-``lattice_fields(alpha, n, alphas)`` derives every stored field but the
-certificate from the lattice and those roots; k is the closed form
-``distance.CANONICAL_K``.  The sweep visits every admissible n with
-2n <= max_length and calls ``determine`` once, on that root, for the
-certificate; its reports carry the roots to the writer.  Reports serialize
-to newline-delimited JSON (full records) or to a flat CSV export; every
-numeric field is an exact integer.  The JSON header records max_length and
-a seed, which is only a label: nothing in the sweep depends on it.
-``verify`` runs the same two functions on every record of either format and
-compares each stored field with the recomputed one.  It rejects a second
-row for the same n and, for JSON, a row beyond the header's max_length,
-reports the first admissible n within it that has no JSON row, and checks
-each certificate on the torus graph (zero boundary, odd overlap with a dual
-logical), with no dense algebra.
+Every record is fixed by its length n.  One scan for the representations
+n = a^2 + b^2 (``arithmetic.root_classes``) gives every root of -1 mod n and
+each root class's min-L1 a + b; the largest a + b names the record's alpha
+(``strongest_root``).  ``lattice_fields(alpha, n, alphas)`` derives every
+stored field but the certificate, which comes from one ``determine`` call;
+k is the closed form ``distance.CANONICAL_K``.  The sweep returns one record
+(a dict) per admissible n with 2n <= max_length.  Records serialize to
+newline-delimited JSON or to a flat CSV export, with exact integers only;
+the JSON header records max_length and a seed, which is only a label.
+``verify`` derives every record of either format the same way and compares
+it field by field, with no dense algebra (see ``verify_catalog``).
 """
 
 from __future__ import annotations
@@ -25,10 +19,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
 
 from . import arithmetic
-from .distance import CANONICAL_K, DistanceReport, determine, lattice_lower_bound
+from .distance import CANONICAL_K, determine, lattice_lower_bound
 from .lattice import gauss_reduce, gb_lattice, min_l1, shortest_norm2
 from .torus_graph import TorusGraph
 
@@ -61,27 +54,23 @@ def classify_family(alpha: int, n: int) -> str:
     return TAG_NEW
 
 
-def _roots(n: int) -> list[int]:
-    """Every root of -1 in [1, n - 1]; empty when there is none."""
+def _roots(n: int) -> tuple[list[int], int | None]:
+    """Every root of -1 in [1, n - 1] and the strongest class, from one scan; ([], None) if none."""
     try:
-        return arithmetic.sqrt_minus_one_all(n)
+        classes = arithmetic.root_classes(n)
     except ValueError:
-        return []
-
-
-def _strongest(roots: list[int], n: int) -> int | None:
-    classes = {min(a, n - a) for a in roots}
-    return max(classes, key=lambda a: (min_l1(gb_lattice(a, n)).value, -a), default=None)
+        classes = []
+    best = max(classes, key=lambda c: c[1])[0] if classes else None
+    return sorted({r for c, _ in classes for r in (c, n - c)}), best
 
 
 def strongest_root(n: int) -> int | None:
-    """The root class of -1 mod n with the largest min-L1, ties to the smaller alpha.
+    """The root class of -1 mod n with the largest min-L1, named by its smaller member.
 
-    A class is a mirror pair {a, n - a}, named by its smaller member; its two
-    lattices are mirror images, so they share min-L1.  None when n has no
-    square root of -1 in [1, n - 1].
+    Each class is one representation n = a^2 + b^2, of min-L1 a + b, so no
+    two tie.  None when n has no square root of -1 in [1, n - 1].
     """
-    return _strongest(_roots(n), n)
+    return _roots(n)[1]
 
 
 def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
@@ -90,11 +79,11 @@ def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
     ``alphas`` is every root of -1 mod n, which the caller has already found
     to pick alpha.  Values are in their JSON form.  Only the lattice is
     computed: k is ``CANONICAL_K``, d = upper = exact = min-L1 by the
-    argument in ``determine``, and lower is the Euclidean bound.
+    argument in ``distance.determine``, and lower is the Euclidean bound.
+    ``hypothesis_met`` (n >= 6) only records the paper's stated hypothesis.
     """
     lat = gb_lattice(alpha, n)
     reduced, l1 = gauss_reduce(lat), min_l1(lat)
-    lower = lattice_lower_bound(alpha, n)
     return {
         "n": n,
         "alpha": alpha,
@@ -102,8 +91,8 @@ def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
         "length": 2 * n,
         "k": CANONICAL_K,
         "d": l1.value,
-        "lower": lower.bound,
-        "hypothesis_met": lower.hypothesis_met,
+        "lower": lattice_lower_bound(alpha, n),
+        "hypothesis_met": n >= 6,
         "upper": l1.value,
         "exact": l1.value,
         "method": "sandwich-closed",
@@ -115,23 +104,18 @@ def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
     }
 
 
-def analyze_length(n: int) -> DistanceReport | None:
-    """The report of n's strongest root, carrying n's roots, or None when no root exists."""
-    roots = _roots(n)
-    alpha = _strongest(roots, n)
-    return None if alpha is None else replace(determine(alpha, n), alphas=tuple(roots))
+def analyze_length(n: int) -> dict | None:
+    """n's record, from one root scan and one ``determine`` call; None when n has no root."""
+    roots, alpha = _roots(n)
+    if alpha is None:
+        return None
+    return {**lattice_fields(alpha, n, roots), "certificate": list(determine(alpha, n).certificate)}
 
 
-def sweep_catalog(max_length: int) -> list[DistanceReport]:
-    """All best-per-n reports with 2n <= max_length, sorted by (d, length, alpha)."""
+def sweep_catalog(max_length: int) -> list[dict]:
+    """The record of every admissible n with 2n <= max_length, sorted by (d, length, alpha)."""
     results = (analyze_length(n) for n in range(1, max_length // 2 + 1))
-    return sorted((r for r in results if r is not None), key=lambda r: (r.exact, r.length, r.alpha))
-
-
-def entry_to_dict(report: DistanceReport) -> dict:
-    """The catalog record of a report; n's roots are sought only if the report lacks them."""
-    alphas = report.alphas if report.alphas is not None else arithmetic.sqrt_minus_one_all(report.n)
-    return {**lattice_fields(report.alpha, report.n, alphas), "certificate": list(report.certificate)}
+    return sorted((r for r in results if r is not None), key=lambda r: (r["d"], r["length"], r["alpha"]))
 
 
 def _header_dict(max_length: int, seed: int) -> dict:
@@ -142,27 +126,26 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def render_json(reports: list[DistanceReport], max_length: int, seed: int) -> str:
+def render_json(records: list[dict], max_length: int, seed: int) -> str:
     lines = [_dump(_header_dict(max_length, seed))]
-    lines.extend(_dump(entry_to_dict(r)) for r in reports)
+    lines.extend(_dump(r) for r in records)
     return "\n".join(lines) + "\n"
 
 
-def render_csv(reports: list[DistanceReport]) -> str:
+def render_csv(records: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        d = entry_to_dict(r)
-        writer.writerow([d[c] for c in CSV_COLUMNS])
+    for r in records:
+        writer.writerow([r[c] for c in CSV_COLUMNS])
     return buf.getvalue()
 
 
-def write_catalog(path: str, reports: list[DistanceReport], max_length: int, seed: int = 1, fmt: str = "json") -> None:
+def write_catalog(path: str, records: list[dict], max_length: int, seed: int = 1, fmt: str = "json") -> None:
     if fmt == "json":
-        text = render_json(reports, max_length, seed)
+        text = render_json(records, max_length, seed)
     elif fmt == "csv":
-        text = render_csv(reports)
+        text = render_csv(records)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as f:
@@ -170,7 +153,9 @@ def write_catalog(path: str, reports: list[DistanceReport], max_length: int, see
 
 
 def _certificate_problems(cert: list, alpha: int, n: int, d: int) -> list[str]:
-    """d distinct edges, sorted within [0, 2n), that form a logical operator."""
+    """d distinct integer edges, sorted within [0, 2n), that form a logical operator."""
+    if any(type(i) is not int for i in cert):
+        return ["certificate indices are not all integers"]
     if cert != sorted(cert) or (cert and not 0 <= cert[0] <= cert[-1] < 2 * n):
         return ["certificate indices not sorted within [0, 2n)"]
     if len(set(cert)) != len(cert):
@@ -197,8 +182,7 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
     seen.add(n)
     if max_length is not None and 2 * n > max_length:
         return [f"length {2 * n} exceeds the header's max_length {max_length}"]
-    roots = _roots(n)
-    best = _strongest(roots, n)
+    roots, best = _roots(n)
     if best is None:
         return [f"n = {n} has no square root of -1 in [1, n - 1]"]
     if alpha != best:

@@ -51,7 +51,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     alpha = gbcode.canonicalize_w2(args.u, args.v, args.n)
-    bound = lattice_lower_bound(alpha, args.n).bound
+    bound = lattice_lower_bound(alpha, args.n)
     lam2 = shortest_norm2(gb_lattice(alpha, args.n))
     print(f"alpha={alpha} lower-bound={bound} lambda2={lam2}")
     return 0
@@ -60,10 +60,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_length < 0:
         raise ValueError(f"--max-length must be nonnegative, got {args.max_length}")
-    reports = catalog.sweep_catalog(args.max_length)
+    records = catalog.sweep_catalog(args.max_length)
     path = args.output or f"catalog.{args.format}"
-    catalog.write_catalog(path, reports, args.max_length, args.seed, fmt=args.format)
-    print(f"{len(reports)} entries -> {path}")
+    catalog.write_catalog(path, records, args.max_length, args.seed, fmt=args.format)
+    print(f"{len(records)} entries -> {path}")
     return 0
 
 

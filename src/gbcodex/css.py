@@ -33,6 +33,11 @@ class CssCode:
     def length(self) -> int:
         return self.h_x.cols
 
+    @functools.cached_property
+    def _rref(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """``rref`` of h_x and h_z, keyed "X" and "Z", computed once per code."""
+        return {"X": gf2matrix.rref(self.h_x), "Z": gf2matrix.rref(self.h_z)}
+
 
 def new_css(h_x: BitMatrix, h_z: BitMatrix) -> CssCode:
     """Validate and wrap a parity-check pair."""
@@ -45,16 +50,15 @@ def new_css(h_x: BitMatrix, h_z: BitMatrix) -> CssCode:
 
 def dimension(code: CssCode) -> int:
     """Number of logical qubits: cols - rank(h_x) - rank(h_z)."""
-    return code.length - gf2matrix.rank(code.h_x) - gf2matrix.rank(code.h_z)
+    return code.length - sum(len(rows) for rows, _ in code._rref.values())
 
 
-def _side_matrices(code: CssCode, side: str) -> tuple[BitMatrix, BitMatrix]:
+def _side_reductions(code: CssCode, side: str) -> tuple[tuple, tuple]:
+    """The ``rref`` of the side's own check matrix and of the other one."""
     s = side.upper()
-    if s == "X":
-        return code.h_x, code.h_z
-    if s == "Z":
-        return code.h_z, code.h_x
-    raise ValueError(f"side must be 'X' or 'Z', got {side!r}")
+    if s not in ("X", "Z"):
+        raise ValueError(f"side must be 'X' or 'Z', got {side!r}")
+    return code._rref[s], code._rref["Z" if s == "X" else "X"]
 
 
 def is_logical_x(code: CssCode, v: int) -> bool:
@@ -68,11 +72,10 @@ def logical_space(code: CssCode, side: str = "X") -> tuple[list[int], list[int]]
     Returns (stabilizers, logicals): the stabilizers span the other matrix's
     row space, and together the two lists form a basis of the kernel.
     """
-    own, other = _side_matrices(code, side)
-    stab_rows, stab_pivots = gf2matrix.rref(other)
+    own, (stab_rows, stab_pivots) = _side_reductions(code, side)
     pairs = list(zip(stab_rows, stab_pivots))
     logicals = []
-    for v in gf2matrix.kernel_basis(own):
+    for v in gf2matrix.rref_kernel(*own, code.length):
         w = v
         for row, p in pairs:
             if (w >> p) & 1:

@@ -4,13 +4,12 @@ The code (1 + x, 1 + x^alpha) over x^n - 1 is the square-grid toric code on
 Z^2 / L with L = {(x, y) : x + alpha*y = 0 mod n}, so its distance on either
 side is the least L1 norm of a nonzero vector of L (see ``determine``).  A
 report carries that value with an explicit weight-d logical operator, and
-the paper's Euclidean lower bound as the ``lower`` column.
+the paper's Euclidean lower bound as ``lower_bound``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .lattice import ceil_sqrt, enumerate_short, gb_lattice, min_l1, shortest_norm2
 from .torus_graph import TorusGraph, edge_support
@@ -26,12 +25,8 @@ class DistanceReport:
     alpha: int
     k: int
     lower_bound: int
-    hypothesis_met: bool
     upper_bound: int
     certificate: tuple[int, ...]
-    # every root of -1 mod n, when the caller already found them (the catalog
-    # sweep does, to pick alpha); a function of n, so not compared
-    alphas: tuple[int, ...] | None = field(default=None, compare=False)
 
     @property
     def length(self) -> int:
@@ -47,20 +42,9 @@ class DistanceReport:
         return "sandwich-closed"
 
 
-class LatticeBound(NamedTuple):
-    bound: int
-    hypothesis_met: bool
-
-
-def lattice_lower_bound(alpha: int, n: int) -> LatticeBound:
-    """Distance >= ceil(shortest Euclidean lattice length), at every n.
-
-    The bound holds because d = min-L1 >= ceil(lambda) (see ``determine``).
-    ``hypothesis_met`` (n >= 6) only records the paper's stated hypothesis;
-    it stays in the report and the catalog until the schema-v3 change.
-    """
-    lam2 = shortest_norm2(gb_lattice(alpha, n))
-    return LatticeBound(ceil_sqrt(lam2), n >= 6)
+def lattice_lower_bound(alpha: int, n: int) -> int:
+    """ceil(shortest Euclidean lattice length) <= d = min-L1 at every n (see ``determine``)."""
+    return ceil_sqrt(shortest_norm2(gb_lattice(alpha, n)))
 
 
 def upper_bound_certificate(alpha: int, n: int) -> tuple[int, int]:
@@ -121,17 +105,16 @@ def determine(alpha: int, n: int) -> DistanceReport:
     """
     lower = lattice_lower_bound(alpha, n)
     upper, cert = upper_bound_certificate(alpha, n)
-    if lower.bound > upper:
+    if lower > upper:
         raise RuntimeError(
-            f"lower bound {lower.bound} exceeds certified upper {upper} "
+            f"lower bound {lower} exceeds certified upper {upper} "
             f"for alpha={alpha}, n={n}; this contradicts the certificate"
         )
     return DistanceReport(
         n=n,
         alpha=alpha,
         k=CANONICAL_K,
-        lower_bound=lower.bound,
-        hypothesis_met=lower.hypothesis_met,
+        lower_bound=lower,
         upper_bound=upper,
         certificate=edge_support(cert),
     )

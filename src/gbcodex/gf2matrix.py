@@ -99,10 +99,14 @@ def kernel_basis(m: BitMatrix) -> list[int]:
 
     One basis vector per free column; size equals cols - rank.
     """
-    rows, pivots = rref(m)
+    return rref_kernel(*rref(m), m.cols)
+
+
+def rref_kernel(rows: tuple[int, ...], pivots: tuple[int, ...], cols: int) -> list[int]:
+    """``kernel_basis`` of a cols-column matrix whose ``rref`` is (rows, pivots)."""
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(cols):
         if free in pivot_set:
             continue
         v = 1 << free

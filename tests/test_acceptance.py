@@ -66,7 +66,7 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_table_reproduction():
     start = time.perf_counter()
-    reports = sweep_catalog(200)
+    records = sweep_catalog(200)
     elapsed = time.perf_counter() - start
 
     problems = []
@@ -74,19 +74,19 @@ def test_criterion_1_table_reproduction():
         problems.append(f"sweep took {elapsed:.1f}s (budget 300s)")
 
     # every emitted distance must be an achieved, revalidated certificate
-    for r in reports:
-        spec = canonical_spec(r.alpha, r.n)
+    for r in records:
+        spec = canonical_spec(r["alpha"], r["n"])
         code = build(spec)
         _register(spec, code)
-        bits = sum(1 << i for i in r.certificate)
-        if bits.bit_count() != r.exact or not css.is_logical_x(code, bits):
-            problems.append(f"entry n={r.n}: certificate does not establish d={r.exact}")
-        if r.exact < ceil_sqrt(r.n):
-            problems.append(f"entry n={r.n}: d={r.exact} below ceil(sqrt(n))")
+        bits = sum(1 << i for i in r["certificate"])
+        if bits.bit_count() != r["d"] or not css.is_logical_x(code, bits):
+            problems.append(f"entry n={r['n']}: certificate does not establish d={r['d']}")
+        if r["d"] < ceil_sqrt(r["n"]):
+            problems.append(f"entry n={r['n']}: d={r['d']} below ceil(sqrt(n))")
 
-    got = Counter((r.length, r.k, r.exact) for r in reports)
-    if len(reports) != 22:
-        problems.append(f"expected 22 entries, got {len(reports)}")
+    got = Counter((r["length"], r["k"], r["d"]) for r in records)
+    if len(records) != 22:
+        problems.append(f"expected 22 entries, got {len(records)}")
     if got != REQUIRED_TABLE:
         missing = sorted((REQUIRED_TABLE - got).elements())
         extra = sorted((got - REQUIRED_TABLE).elements())
@@ -105,7 +105,7 @@ def test_criterion_2_lower_bound_never_violated():
             code = build(spec)
             _register(spec, code)
             d = css.exhaustive_distance(code, "X")
-            bound = lattice_lower_bound(alpha, n).bound
+            bound = lattice_lower_bound(alpha, n)
             if d < bound:
                 violations.append((alpha, n, d, bound))
     elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ from gbcodex.arithmetic import (
     kitaev_spec,
     optimized_kitaev_spec,
     primitive_two_squares,
+    root_classes,
     sqrt_minus_one_all,
 )
 from gbcodex.catalog import strongest_root
@@ -101,6 +102,36 @@ class TestLatticeOfRepresentation:
                 assert min_l1(gb_lattice(a * pow(b, -1, n) % n, n)).value == a + b
             if reps:
                 assert min_l1(gb_lattice(strongest_root(n), n)).value == max(a + b for a, b in reps)
+
+    def test_strongest_root_matches_lattice_ranking(self):
+        # the rule the representations replace: over the mirror classes, the
+        # largest min-L1 wins, ties to the smaller alpha
+        for n in range(2, 2001):
+            if not is_admissible(n):
+                continue
+            classes = {min(a, n - a) for a in sqrt_minus_one_all(n)}
+            ranked = max(classes, key=lambda a: (min_l1(gb_lattice(a, n)).value, -a))
+            assert strongest_root(n) == ranked
+
+    def test_representations_have_distinct_sums(self):
+        # so no two root classes tie on min-L1
+        for n in range(2, 2001):
+            sums = [a + b for a, b in primitive_two_squares(n)]
+            assert len(set(sums)) == len(sums)
+
+    def test_classes_name_every_root_once(self):
+        for n in range(2, 2001):
+            if is_admissible(n):
+                classes = root_classes(n)
+                assert [s for _, s in classes] == [a + b for a, b in primitive_two_squares(n)]
+                assert sorted(c for c, _ in classes) == [r for r in sqrt_minus_one_all(n) if 2 * r <= n]
+
+    def test_no_class_at_one_or_non_admissible(self):
+        assert root_classes(1) == [] and strongest_root(1) is None
+        for n in (3, 4, 12, 21, 360):
+            assert strongest_root(n) is None
+            with pytest.raises(ValueError, match="no square root"):
+                root_classes(n)
 
 
 class TestFamilies:

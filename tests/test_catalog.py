@@ -9,7 +9,7 @@ from gbcodex.catalog import (
     CSV_COLUMNS,
     analyze_length,
     classify_family,
-    entry_to_dict,
+    lattice_fields,
     render_csv,
     render_json,
     strongest_root,
@@ -83,52 +83,55 @@ def edit_record(path, n, edit):
     return idx + 1
 
 
+def record_at(alpha, n):
+    """The self-consistent record of (alpha, n), whether or not alpha is n's strongest root."""
+    return {**lattice_fields(alpha, n, sqrt_minus_one_all(n)), "certificate": list(determine(alpha, n).certificate)}
+
+
 @pytest.fixture(scope="module")
-def reports_200():
+def records_200():
     return sweep_catalog(200)
 
 
 class TestSweep:
     def test_tiny_sweeps(self):
-        assert [(r.length, r.k, r.exact) for r in sweep_catalog(10)] == [(4, 2, 2), (10, 2, 3)]
+        assert [(r["length"], r["k"], r["d"]) for r in sweep_catalog(10)] == [(4, 2, 2), (10, 2, 3)]
         assert sweep_catalog(2) == []
 
-    def test_full_sweep_contents(self, reports_200):
-        got = {r.n: (r.alpha, r.exact) for r in reports_200}
+    def test_full_sweep_contents(self, records_200):
+        got = {r["n"]: (r["alpha"], r["d"]) for r in records_200}
         assert got == EXPECTED_200
 
-    def test_covers_exactly_the_admissible_sizes(self, reports_200):
+    def test_covers_exactly_the_admissible_sizes(self, records_200):
         expected_n = {
             n for n in range(2, 101) if is_admissible(n) and scan_roots_of_minus_one(n)
         }
-        assert {r.n for r in reports_200} == expected_n
+        assert {r["n"] for r in records_200} == expected_n
 
-    def test_sorted_by_distance_then_length(self, reports_200):
-        keys = [(r.exact, r.length, r.alpha) for r in reports_200]
+    def test_sorted_by_distance_then_length(self, records_200):
+        keys = [(r["d"], r["length"], r["alpha"]) for r in records_200]
         assert keys == sorted(keys)
 
-    def test_distance_column_is_certificate_weight(self, reports_200):
-        for r in reports_200:
-            assert r.exact == len(r.certificate)
-            assert r.exact >= ceil_sqrt(r.n)
+    def test_distance_column_is_certificate_weight(self, records_200):
+        for r in records_200:
+            assert r["d"] == len(r["certificate"])
+            assert r["d"] >= ceil_sqrt(r["n"])
 
-    def test_independent_min_l1_recomputation(self, reports_200):
-        for r in reports_200:
-            value, _ = scan_min_l1(r.alpha, r.n)
-            assert entry_to_dict(r)["min_l1"] == value
-            assert r.exact <= value
+    def test_independent_min_l1_recomputation(self, records_200):
+        for r in records_200:
+            value, _ = scan_min_l1(r["alpha"], r["n"])
+            assert r["min_l1"] == value
+            assert r["d"] <= value
 
-    def test_alphas_field_lists_all_roots(self, reports_200):
-        for r in reports_200:
-            assert entry_to_dict(r)["alphas"] == sqrt_minus_one_all(r.n)
+    def test_alphas_field_lists_all_roots(self, records_200):
+        for r in records_200:
+            assert r["alphas"] == sqrt_minus_one_all(r["n"])
 
     def test_multi_class_sizes_pick_strongest_lower(self):
         # n = 65 has root classes {8, 18} with distances 9 and 11.
-        report = analyze_length(65)
-        assert report == determine(18, 65) and report.exact == 11
+        assert analyze_length(65) == record_at(18, 65) and record_at(18, 65)["d"] == 11
         # n = 85 has classes {13, 38} with distances 13 and 11.
-        report = analyze_length(85)
-        assert report == determine(13, 85) and report.exact == 13
+        assert analyze_length(85) == record_at(13, 85) and record_at(13, 85)["d"] == 13
         assert determine(38, 85).exact == 11
         assert (strongest_root(65), strongest_root(85)) == (18, 13)
         assert strongest_root(1) is None and strongest_root(3) is None
@@ -141,9 +144,9 @@ class TestSweep:
             return determine(alpha, n)
 
         monkeypatch.setattr(catalog, "determine", counted)
-        reports = sweep_catalog(200)
-        assert len(calls) == len(reports) == 22
-        assert sorted(calls) == sorted((r.alpha, r.n) for r in reports)
+        records = sweep_catalog(200)
+        assert len(calls) == len(records) == 22
+        assert sorted(calls) == sorted((r["alpha"], r["n"]) for r in records)
 
     def test_roots_sought_once_per_n(self, tmp_path, monkeypatch):
         scanned = []
@@ -160,13 +163,12 @@ class TestSweep:
         scanned.clear()
         assert verify_catalog(path) == (22, [])
         assert sorted(scanned) == list(range(2, 101))
-        # a report made by determine alone has no roots; its record seeks them
-        r = analyze_length(65)
-        assert r.alphas is not None and determine(r.alpha, r.n).alphas is None
-        assert entry_to_dict(determine(r.alpha, r.n)) == entry_to_dict(r)
+        scanned.clear()
+        analyze_length(65)
+        assert scanned == [65]
 
-    def test_family_tags(self, reports_200):
-        tags = {r.n: entry_to_dict(r)["tag"] for r in reports_200}
+    def test_family_tags(self, records_200):
+        tags = {r["n"]: r["tag"] for r in records_200}
         for n in (5, 13, 25, 41, 61, 85):
             assert tags[n] == "optimized-kitaev"
         assert tags[2] == "new" and tags[74] == "new"
@@ -178,27 +180,28 @@ class TestSweep:
 
 
 class TestSerialization:
-    def test_lattice_fields_agree_with_determine(self, reports_200):
-        # the writer takes every field but the certificate from the lattice, not the report
-        for r in reports_200:
-            d = entry_to_dict(r)
+    def test_lattice_fields_agree_with_determine(self, records_200):
+        # a record takes every field but the certificate from the lattice, not from determine
+        for d in records_200:
+            r = determine(d["alpha"], d["n"])
             assert (d["n"], d["alpha"], d["length"], d["k"]) == (r.n, r.alpha, r.length, r.k)
             assert d["d"] == d["upper"] == d["exact"] == d["min_l1"] == r.upper_bound == r.exact
-            assert (d["lower"], d["hypothesis_met"], d["method"]) == (r.lower_bound, r.hypothesis_met, r.method)
+            assert (d["lower"], d["method"]) == (r.lower_bound, r.method)
+            assert d["hypothesis_met"] == (d["n"] >= 6)
             assert d["certificate"] == list(r.certificate)
 
-    def test_json_file_roundtrip(self, reports_200, tmp_path):
+    def test_json_file_roundtrip(self, records_200, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
-        write_catalog(path, reports_200, 200)
+        write_catalog(path, records_200, 200)
         with open(path) as f:
             text = f.read()
-        assert text == render_json(reports_200, 200, 1)
+        assert text == render_json(records_200, 200, 1)
         header = json.loads(text.splitlines()[0])
         assert header == {"schema": "gb-catalog", "version": 2, "max_length": 200, "seed": 1}
         assert verify_catalog(path) == (22, [])
 
-    def test_no_floats_persisted(self, reports_200):
-        text = render_json(reports_200, 200, 1)
+    def test_no_floats_persisted(self, records_200):
+        text = render_json(records_200, 200, 1)
         for line in text.splitlines():
             def reject_floats(obj):
                 if isinstance(obj, float):
@@ -213,13 +216,12 @@ class TestSerialization:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_csv_and_json_agree_record_for_record(self, reports_200):
-        csv_lines = render_csv(reports_200).splitlines()
+    def test_csv_and_json_agree_record_for_record(self, records_200):
+        csv_lines = render_csv(records_200).splitlines()
         assert csv_lines[0] == ",".join(CSV_COLUMNS)
-        assert len(csv_lines) == len(reports_200) + 1
-        for line, r in zip(csv_lines[1:], reports_200):
-            d = entry_to_dict(r)
-            assert line == ",".join(str(d[c]) for c in CSV_COLUMNS)
+        assert len(csv_lines) == len(records_200) + 1
+        for line, r in zip(csv_lines[1:], records_200):
+            assert line == ",".join(str(r[c]) for c in CSV_COLUMNS)
 
 
 class TestVerify:
@@ -285,16 +287,16 @@ class TestVerify:
     def test_weaker_root_json_rejected(self, tmp_path):
         # the full length-130 catalog with the n = 65 row taken at the weaker
         # root class alpha = 8 (a self-consistent record with d = 9, not 11)
-        reports = [determine(8, 65) if r.n == 65 else r for r in sweep_catalog(130)]
+        records = [record_at(8, 65) if r["n"] == 65 else r for r in sweep_catalog(130)]
         path = str(tmp_path / "catalog.ndjson")
-        write_catalog(path, reports, 130)
-        lineno = 2 + [r.n for r in reports].index(65)
+        write_catalog(path, records, 130)
+        lineno = 2 + [r["n"] for r in records].index(65)
         assert verify_catalog(path) == (
             16, [f"line {lineno}: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"])
 
     def test_weaker_root_csv_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")
-        write_catalog(path, [determine(8, 65)], 130, fmt="csv")
+        write_catalog(path, [record_at(8, 65)], 130, fmt="csv")
         with open(path) as f:
             assert f.read().splitlines()[1].startswith("130,2,9,65,8,")
         count, problems = verify_catalog(path)
@@ -351,7 +353,7 @@ class TestVerify:
     @pytest.mark.parametrize("n", [13, 29], ids=["middle_row", "last_row"])
     def test_missing_json_row_rejected(self, tmp_path, n):
         path = str(tmp_path / "catalog.ndjson")
-        write_catalog(path, [r for r in sweep_catalog(60) if r.n != n], 60)
+        write_catalog(path, [r for r in sweep_catalog(60) if r["n"] != n], 60)
         assert verify_catalog(path) == (7, [f"missing row for n = {n}"])
 
     def test_missing_row_scan_stops_at_first_gap(self, tmp_path, monkeypatch):
@@ -391,9 +393,9 @@ class TestVerify:
         assert verify_catalog(path) == (0, ["line 1: max_length -5 is not a nonnegative integer"])
 
     def test_rows_beyond_max_length_rejected_unfactored(self, tmp_path, monkeypatch):
-        reports = sweep_catalog(60)
+        records = sweep_catalog(60)
         path = str(tmp_path / "catalog.ndjson")
-        write_catalog(path, reports, 10)
+        write_catalog(path, records, 10)
         primitive_two_squares = arithmetic.primitive_two_squares
 
         def guarded(n):
@@ -403,8 +405,8 @@ class TestVerify:
         monkeypatch.setattr(arithmetic, "primitive_two_squares", guarded)
         count, problems = verify_catalog(path)
         assert count == 8
-        assert problems == [f"line {i}: length {r.length} exceeds the header's max_length 10"
-                            for i, r in enumerate(reports, start=2) if r.length > 10]
+        assert problems == [f"line {i}: length {r['length']} exceeds the header's max_length 10"
+                            for i, r in enumerate(records, start=2) if r["length"] > 10]
         assert len(problems) == 6
 
     def test_verify_uses_no_dense_algebra(self, tmp_path, monkeypatch):
@@ -419,6 +421,18 @@ class TestVerify:
                              (catalog, "determine"), (distance, "determine"), (TorusGraph, "is_sum_of_faces")]:
             monkeypatch.setattr(module, name, boom)
         assert verify_catalog(path) == (22, [])
+
+    def test_boolean_certificate_indices_rejected(self, tmp_path):
+        # [false, true] names the same edges as [0, 1] if booleans pass as integers
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(30), 30)
+
+        def boolean_certificate(record):
+            assert record["certificate"] == [0, 1]
+            record["certificate"] = [False, True]
+
+        assert edit_record(path, 2, boolean_certificate) == 2
+        assert verify_catalog(path) == (4, ["line 2: certificate indices are not all integers"])
 
     def test_face_certificate_rejected(self, tmp_path):
         # a trivial cycle of the right weight must not pass as a logical operator
@@ -461,7 +475,7 @@ class TestVerify:
 
 
 class TestCertificatesRecheck:
-    def test_certificates_reload_as_logical_operators(self, reports_200):
-        for r in reports_200:
-            code = build(canonical_spec(r.alpha, r.n))
-            assert css.is_logical_x(code, sum(1 << i for i in r.certificate))
+    def test_certificates_reload_as_logical_operators(self, records_200):
+        for r in records_200:
+            code = build(canonical_spec(r["alpha"], r["n"]))
+            assert css.is_logical_x(code, sum(1 << i for i in r["certificate"]))

@@ -119,7 +119,7 @@ class TestBound:
                     code, out, _ = run_cli(capsys, "bound", "--u", str(u), "--v", str(v), "--n", str(n))
                     match = re.fullmatch(r"alpha=(\d+) lower-bound=(\d+) lambda2=\d+\n", out)
                     assert code == 0 and match and int(match[1]) == alpha, (u, v, n, out)
-                    assert int(match[2]) == lattice_lower_bound(alpha, n).bound <= exact(alpha, n)
+                    assert int(match[2]) == lattice_lower_bound(alpha, n) <= exact(alpha, n)
                     checked += 1
         assert checked == 1997  # of the 2470 pairs, those with u or v invertible mod n
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gbcodex import css
+from gbcodex import css, gf2matrix
 from gbcodex.gbcode import GbSpec, build, canonical_spec
 from gbcodex.gf2matrix import BitMatrix
 from gbcodex.gf2poly import parse_poly
@@ -137,6 +137,21 @@ class TestExhaustiveDistance:
     def test_bad_side_rejected(self, code_10_2_3):
         with pytest.raises(ValueError, match="side"):
             css.exhaustive_distance(code_10_2_3, "Y")
+
+    def test_each_check_matrix_reduced_once(self, monkeypatch):
+        # both sides read the reductions of h_x and h_z, and dimension reuses them
+        calls = []
+        rref = gf2matrix.rref
+
+        def counted(m):
+            calls.append(m)
+            return rref(m)
+
+        monkeypatch.setattr(gf2matrix, "rref", counted)
+        code = gb("1+x", "1+x^7", 25)
+        assert (css.exhaustive_distance(code, "X"), css.exhaustive_distance(code, "Z")) == (7, 7)
+        assert css.dimension(code) == 2
+        assert calls == [code.h_x, code.h_z]
 
 
 def _check_side(code, side, expected):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,14 +8,25 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_demos_found():
     assert DEMOS
 
 
+def run_python(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
-    assert result.returncode == 0, result.stderr
+    run_python([str(demo)])
+
+
+def test_readme_python_blocks_run():
+    assert README_BLOCKS
+    for block in README_BLOCKS:
+        run_python(["-c", block])

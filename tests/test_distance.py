@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gbcodex import css, distance, gbcode, gf2matrix
+from gbcodex.catalog import lattice_fields
 from gbcodex.distance import (
     determine,
     lattice_lower_bound,
@@ -16,21 +17,22 @@ from oracle_utils import gb_check_rows, graphlike_min_logical, scan_lambda2, sca
 
 class TestLatticeBound:
     def test_small_n_flagged(self):
-        bound = lattice_lower_bound(2, 5)
-        assert bound == (3, False)
+        # the bound holds below the paper's hypothesis n >= 6, which the catalog flags
+        assert lattice_lower_bound(2, 5) == 3 <= determine(2, 5).exact
+        assert not lattice_fields(2, 5, [2, 3])["hypothesis_met"]
 
     def test_not_always_tight(self):
-        assert lattice_lower_bound(5, 13) == (4, True)
+        assert lattice_lower_bound(5, 13) == 4
 
     def test_grid_family_tight(self):
-        assert lattice_lower_bound(4, 16) == (4, True)
+        assert lattice_lower_bound(4, 16) == 4
 
     def test_matches_scan(self):
         rng = random.Random(101)
         for _ in range(40):
             n = rng.randrange(2, 30)
             alpha = rng.randrange(1, n)
-            assert lattice_lower_bound(alpha, n).bound == ceil_sqrt(scan_lambda2(alpha, n))
+            assert lattice_lower_bound(alpha, n) == ceil_sqrt(scan_lambda2(alpha, n))
 
 
 class TestCorollaryBound:
@@ -41,7 +43,7 @@ class TestCorollaryBound:
 
     def test_reduced_alpha(self):
         # u=3, v=1, n=10 reduces to alpha=7; lattice minimum is 10
-        assert lattice_lower_bound(canonicalize_w2(3, 1, 10), 10).bound == 4
+        assert lattice_lower_bound(canonicalize_w2(3, 1, 10), 10) == 4
         assert scan_lambda2(7, 10) == 10
 
     def test_swapped_generators_share_alpha(self):
@@ -53,7 +55,7 @@ class TestCorollaryBound:
         # d = min-L1 >= ceil(lambda) at every n, not only n >= 6
         for n in range(2, 7):
             for alpha in range(1, n):
-                assert lattice_lower_bound(alpha, n).bound <= determine(alpha, n).exact
+                assert lattice_lower_bound(alpha, n) <= determine(alpha, n).exact
 
 
 class TestUpperBoundCertificate:
@@ -97,7 +99,7 @@ class TestParityRefinedLower:
         for _ in range(30):
             n = rng.randrange(4, 40)
             alpha = rng.randrange(2, n - 1)
-            assert parity_refined_lower(alpha, n) >= lattice_lower_bound(alpha, n).bound
+            assert parity_refined_lower(alpha, n) >= lattice_lower_bound(alpha, n)
 
     def test_sound_against_oracle(self):
         # the refinement must never exceed the true distance where we can check it
@@ -113,7 +115,6 @@ class TestDetermine:
         report = determine(2, 5)
         assert report.exact == 3
         assert report.method == "sandwich-closed"
-        assert not report.hypothesis_met
 
     def test_theorem_closes_n50(self):
         report = determine(7, 50)
