@@ -4,8 +4,10 @@ An admissible circulant size factors as 2^e times primes congruent to 1 mod
 4 (e at most 1); exactly these n admit alpha with alpha^2 = -1 mod n, which
 makes the lattice bound scale as sqrt(n).  Each mirror pair of roots is one
 representation n = a^2 + b^2 and has exact distance a + b, so for each n the
-sweep keeps the representation with the largest a + b; the family column
-names the grid families it recovers.
+sweep keeps the representation with the largest a + b.  The family column
+is optimized-kitaev for the rotated grids [[d^2 + 1, 2, d]] (2n = d^2 + 1)
+and new otherwise; a square grid [[2d^2, 2, d]] would need
+n = (a + b)^2 = a^2 + b^2, i.e. ab = 0, so none appears.
 """
 
 from gbcodex import sweep_catalog

@@ -6,7 +6,7 @@ explicit logical-operator certificates, and catalog sweeps over all
 admissible lengths.
 """
 
-from .arithmetic import is_admissible, kitaev_spec, optimized_kitaev_spec, primitive_two_squares, sqrt_minus_one_all
+from .arithmetic import is_admissible, primitive_two_squares, sqrt_minus_one_all
 from .catalog import analyze_length, sweep_catalog, verify_catalog, write_catalog
 from .css import CssCode, dimension, exhaustive_distance, is_logical_x, min_weight_logical, new_css
 from .distance import (
@@ -16,7 +16,8 @@ from .distance import (
     parity_refined_lower,
     upper_bound_certificate,
 )
-from .gbcode import GbSpec, build, canonical_spec, canonicalize_w2, dimension_formula, shift_normalize
+from .gbcode import (GbSpec, build, canonical_spec, canonicalize_w2, dimension_formula, optimized_kitaev_spec,
+                     shift_normalize)
 from .gf2matrix import BitMatrix, circulant, hstack, kernel_basis, mat_mul, rank, row_space_contains, transpose
 from .gf2poly import BinaryPolynomial, add, gcd, mul_mod, parse_poly, substitute_power, x_pow_minus_one
 from .lattice import Lattice2D, enumerate_short, gauss_reduce, gb_lattice, min_l1

@@ -8,14 +8,12 @@ unit, since gcd(b, n) = gcd(b, a^2) = 1, and (a/b)^2 = -1 as b^2 = -a^2 mod n.
 So one scan over b decides admissibility and yields every root; the class
 +-a/b has the square lattice spanned by (-a, b) and (b, a), whose min-L1 is
 a + b.  No two classes of one n tie, since a + b and a^2 + b^2 fix {a, b}.
+This module is number theory only; codes are built in ``gbcode``.
 """
 
 from __future__ import annotations
 
 import math
-
-from .gbcode import GbSpec
-from .gf2poly import BinaryPolynomial, reduce_mod_xn
 
 
 def primitive_two_squares(n: int) -> list[tuple[int, int]]:
@@ -61,27 +59,3 @@ def sqrt_minus_one_all(n: int) -> list[int]:
     """
     return sorted({r for c, _ in root_classes(n) for r in (c, n - c)})
 
-
-def kitaev_spec(m: int) -> GbSpec:
-    """The torus-grid family member (1 + x, 1 + x^m, m^2), parameters [2m^2, 2, m]."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    n = m * m
-    a = reduce_mod_xn(BinaryPolynomial.from_support([0, 1]), n)
-    b = reduce_mod_xn(BinaryPolynomial.from_support([0, m]), n)
-    return GbSpec(a, b, n)
-
-
-def optimized_kitaev_spec(t: int) -> GbSpec:
-    """The rotated-grid family member for odd distance d = 2t + 1.
-
-    Generators (1 + x^(2t^2+1), x + x^(2t^2)) over x^n - 1 with n = (d^2+1)/2;
-    parameters [d^2 + 1, 2, d].
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    d = 2 * t + 1
-    n = (d * d + 1) // 2
-    a = BinaryPolynomial.from_support([0, 2 * t * t + 1])
-    b = BinaryPolynomial.from_support([1, 2 * t * t])
-    return GbSpec(a, b, n)

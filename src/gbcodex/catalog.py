@@ -5,53 +5,32 @@ n = a^2 + b^2 (``arithmetic.root_classes``) gives every root of -1 mod n and
 each root class's min-L1 a + b; the largest a + b names the record's alpha
 (``strongest_root``).  ``lattice_fields(alpha, n, alphas)`` derives every
 stored field but the certificate, which comes from one ``determine`` call;
-k is the closed form ``distance.CANONICAL_K``.  The sweep returns one record
-(a dict) per admissible n with 2n <= max_length.  Records serialize to
-newline-delimited JSON or to a flat CSV export, with exact integers only;
-the JSON header records max_length and a seed, which is only a label.
+k is the closed form ``distance.CANONICAL_K`` and the family tag is read off
+(n, d).  The sweep returns one record (a dict) per admissible n with
+2n <= max_length.  Records serialize to newline-delimited JSON or to a flat
+CSV export, with exact integers only; the JSON header records max_length and
+a seed, which is only a label.
 ``verify`` derives every record of either format the same way and compares
 it field by field, with no dense algebra (see ``verify_catalog``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
-import math
 
 from . import arithmetic
-from .distance import CANONICAL_K, determine, lattice_lower_bound
-from .lattice import gauss_reduce, gb_lattice, min_l1, shortest_norm2
+from .distance import CANONICAL_K, determine
+from .lattice import ceil_sqrt, gauss_reduce, gb_lattice, min_l1
 from .torus_graph import TorusGraph
 
 SCHEMA_NAME = "gb-catalog"
 SCHEMA_VERSION = 2
 
-TAG_KITAEV = "kitaev"
-TAG_OPTIMIZED = "optimized-kitaev"
-TAG_NEW = "new"
-
 CSV_COLUMNS = ["length", "k", "d", "n", "alpha", "lower", "upper", "method"]
-
-
-def classify_family(alpha: int, n: int) -> str:
-    """Tag an (alpha, n) pair as grid-family, rotated-grid-family, or new.
-
-    The orbit {alpha, n - alpha} collects the mirror symmetry; for roots of
-    -1 the modular inverse coincides with the mirror.
-    """
-    orbit = {alpha % n, (n - alpha) % n}
-    m = math.isqrt(n)
-    if m * m == n and m % n in orbit:
-        return TAG_KITAEV
-    # n = 2t^2 + 2t + 1 has the rotated-grid representative (t+1)/t mod n.
-    t = (math.isqrt(2 * n - 1) - 1) // 2
-    for cand in (t, t + 1):
-        if cand >= 1 and 2 * cand * cand + 2 * cand + 1 == n:
-            if math.gcd(cand, n) == 1 and (cand + 1) * pow(cand, -1, n) % n in orbit:
-                return TAG_OPTIMIZED
-    return TAG_NEW
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)  # a stored value of the wrong shape
 
 
 def _roots(n: int) -> tuple[list[int], int | None]:
@@ -76,31 +55,37 @@ def strongest_root(n: int) -> int | None:
 def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
     """Every catalog field that (alpha, n) fixes, which is all but the certificate.
 
-    ``alphas`` is every root of -1 mod n, which the caller has already found
-    to pick alpha.  Values are in their JSON form.  Only the lattice is
-    computed: k is ``CANONICAL_K``, d = upper = exact = min-L1 by the
-    argument in ``distance.determine``, and lower is the Euclidean bound.
+    ``alpha`` is a root of -1 mod n and ``alphas`` every such root, which the
+    caller has already found to pick alpha.  Values are in their JSON form.
+    Only the lattice is computed: k is ``CANONICAL_K``, d = upper = exact =
+    min-L1 by the argument in ``distance.determine``, and lambda2 and the
+    Euclidean bound lower = ceil(sqrt(lambda2)) come from one reduction.
     ``hypothesis_met`` (n >= 6) only records the paper's stated hypothesis.
+
+    The tag needs only (n, d): a class +-a/b has d = a + b, so 2n - d^2 =
+    (b - a)^2 is 1 exactly for the rotated grid [[d^2 + 1, 2, d]], alpha =
+    +-(t + 1)/t.  The square grid n = d^2 would need ab = 0, i.e. n = 1.
     """
     lat = gb_lattice(alpha, n)
     reduced, l1 = gauss_reduce(lat), min_l1(lat)
+    d, lambda2 = l1.value, reduced.b1[0] ** 2 + reduced.b1[1] ** 2  # b1 is a shortest vector
     return {
         "n": n,
         "alpha": alpha,
         "alphas": list(alphas),
         "length": 2 * n,
         "k": CANONICAL_K,
-        "d": l1.value,
-        "lower": lattice_lower_bound(alpha, n),
+        "d": d,
+        "lower": ceil_sqrt(lambda2),
         "hypothesis_met": n >= 6,
-        "upper": l1.value,
-        "exact": l1.value,
+        "upper": d,
+        "exact": d,
         "method": "sandwich-closed",
-        "lambda2": shortest_norm2(lat),
-        "min_l1": l1.value,
+        "lambda2": lambda2,
+        "min_l1": d,
         "basis": [list(reduced.b1), list(reduced.b2)],
         "t_witness": list(l1.witness),
-        "tag": classify_family(alpha, n),
+        "tag": "optimized-kitaev" if 2 * n == d * d + 1 else "new",
     }
 
 
@@ -168,13 +153,15 @@ def _certificate_problems(cert: list, alpha: int, n: int, d: int) -> list[str]:
     return problems
 
 
-def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max_length: int | None) -> list[str]:
+def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max_length: int | None,
+                  gap: int | None) -> list[str]:
     """Compare one stored row with the record its n fixes.
 
     ``keys`` lists the stored columns (None for a full JSON record, which
     must hold every field and the certificate); ``render`` gives the stored
     text form of a value.  Duplicates and out-of-range lengths are rejected
-    before the roots of -1 mod n are sought.
+    before the roots of -1 mod n are sought, and none are sought for n past
+    ``gap``, the first missing row, which is reported on its own.
     """
     n, alpha = int(row["n"]), int(row["alpha"])
     if n in seen:
@@ -182,6 +169,8 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
     seen.add(n)
     if max_length is not None and 2 * n > max_length:
         return [f"length {2 * n} exceeds the header's max_length {max_length}"]
+    if gap is not None and n > gap:
+        return []
     roots, best = _roots(n)
     if best is None:
         return [f"n = {n} has no square root of -1 in [1, n - 1]"]
@@ -219,9 +208,11 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     missing n.  Each record must be the only one for its n, lie within the
     JSON header's max_length, name the strongest root class, and match
     ``lattice_fields`` field by field.  A JSON header or record must hold
-    exactly the written keys, a record's certificate must be a weight-d
-    logical operator on the torus graph, and every admissible n within the
-    header's max_length must have a row (the first gap is reported).
+    exactly the written keys, and a record's certificate must be a weight-d
+    logical operator on the torus graph.  Every admissible n must have a row
+    up to the JSON header's max_length (for a CSV export or a rejected
+    header, up to the largest stored n).  The first gap is found and reported
+    before any row is derived, and rows past it are not derived.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -243,8 +234,8 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                 record, problem = None, None
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    problem = f"corrupt JSON ({exc.msg})"
+                except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
+                    problem = f"corrupt JSON ({getattr(exc, 'msg', exc)})"
                 if lineno > 1:
                     rows.append((lineno, record, problem))
                 else:
@@ -262,16 +253,20 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                     rows.append((reader.line_num, dict(zip(CSV_COLUMNS, fields)), None))
                 elif fields:
                     rows.append((reader.line_num, None, f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}"))
+    stored = set()
+    for _, row, _ in rows:
+        with contextlib.suppress(*_MALFORMED):
+            stored.add(int(row["n"]))
+    top = max_length // 2 if max_length is not None else max(stored, default=0)
+    # stop at the first gap, so the scan never runs far past the stored rows
+    gap = next((n for n in range(2, top + 1) if n not in stored and arithmetic.is_admissible(n)), None)
     seen: set[int] = set()
     for lineno, row, problem in rows:
         try:
-            found = [problem] if problem else _row_problems(row, keys, render, seen, max_length)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            found = [problem] if problem else _row_problems(row, keys, render, seen, max_length, gap)
+        except _MALFORMED as exc:
             found = [f"malformed record ({exc})"]
         problems.extend(f"line {lineno}: {p}" for p in found)
-    if max_length is not None:
-        # stop at the first gap, so the scan never runs far past the stored rows
-        gap = next((n for n in range(2, max_length // 2 + 1) if n not in seen and arithmetic.is_admissible(n)), None)
-        if gap is not None:
-            problems.append(f"missing row for n = {gap}")
+    if gap is not None:
+        problems.append(f"missing row for n = {gap}")
     return len(rows), problems

@@ -9,9 +9,9 @@ import argparse
 import sys
 
 from . import catalog, css, gbcode
-from .distance import determine, lattice_lower_bound
+from .distance import determine
 from .gf2poly import parse_poly
-from .lattice import gb_lattice, min_l1, shortest_norm2
+from .lattice import ceil_sqrt, gb_lattice, min_l1, shortest_norm2
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -51,9 +51,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     alpha = gbcode.canonicalize_w2(args.u, args.v, args.n)
-    bound = lattice_lower_bound(alpha, args.n)
     lam2 = shortest_norm2(gb_lattice(alpha, args.n))
-    print(f"alpha={alpha} lower-bound={bound} lambda2={lam2}")
+    print(f"alpha={alpha} lower-bound={ceil_sqrt(lam2)} lambda2={lam2}")
     return 0
 
 

@@ -43,6 +43,20 @@ def canonical_spec(alpha: int, n: int) -> GbSpec:
     return GbSpec(BinaryPolynomial.from_support([0, 1]), BinaryPolynomial.from_support([0, alpha]), n)
 
 
+def optimized_kitaev_spec(t: int) -> GbSpec:
+    """The rotated-grid family member for odd distance d = 2t + 1.
+
+    Generators (1 + x^(2t^2+1), x + x^(2t^2)) over x^n - 1 with n = (d^2+1)/2;
+    parameters [d^2 + 1, 2, d].  The square-grid member [2m^2, 2, m] is
+    ``canonical_spec(m, m * m)``.
+    """
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    a = BinaryPolynomial.from_support([0, 2 * t * t + 1])
+    b = BinaryPolynomial.from_support([1, 2 * t * t])
+    return GbSpec(a, b, 2 * t * t + 2 * t + 1)
+
+
 def build(spec: GbSpec) -> CssCode:
     """Construct the CSS code; orthogonality is re-asserted by the validator."""
     n = spec.n

@@ -13,12 +13,7 @@ from collections import Counter
 import numpy as np
 
 from gbcodex import css
-from gbcodex.arithmetic import (
-    is_admissible,
-    kitaev_spec,
-    optimized_kitaev_spec,
-    sqrt_minus_one_all,
-)
+from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import sweep_catalog, verify_catalog, write_catalog
 from gbcodex.distance import determine, lattice_lower_bound
 from gbcodex.gbcode import (
@@ -27,6 +22,7 @@ from gbcodex.gbcode import (
     canonical_spec,
     canonicalize_w2,
     dimension_formula,
+    optimized_kitaev_spec,
     weight2_exponents,
 )
 from gbcodex.gf2matrix import is_zero, mat_mul, transpose
@@ -149,7 +145,7 @@ def test_criterion_4_oracle_agreement_with_table():
 def test_criterion_5_grid_family():
     failures = []
     for m in range(2, 8):
-        spec = kitaev_spec(m)
+        spec = canonical_spec(m, m * m)
         code = build(spec)
         _register(spec, code)
         n = m * m

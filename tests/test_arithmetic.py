@@ -1,16 +1,24 @@
+import ast
+import inspect
+
 import pytest
 
-from gbcodex import css
+from gbcodex import arithmetic, css
 from gbcodex.arithmetic import (
     is_admissible,
-    kitaev_spec,
-    optimized_kitaev_spec,
     primitive_two_squares,
     root_classes,
     sqrt_minus_one_all,
 )
 from gbcodex.catalog import strongest_root
-from gbcodex.gbcode import build, dimension_formula, shift_normalize, weight2_exponents
+from gbcodex.gbcode import (
+    build,
+    canonical_spec,
+    dimension_formula,
+    optimized_kitaev_spec,
+    shift_normalize,
+    weight2_exponents,
+)
 from gbcodex.lattice import gb_lattice, min_l1
 from oracle_utils import scan_primitive_two_squares, scan_roots_of_minus_one
 
@@ -136,16 +144,11 @@ class TestLatticeOfRepresentation:
 
 class TestFamilies:
     def test_grid_spec(self):
-        spec = kitaev_spec(3)
+        spec = canonical_spec(3, 9)
         assert (str(spec.a), str(spec.b), spec.n) == ("1+x", "1+x^3", 9)
         code = build(spec)
         assert css.dimension(code) == 2
         assert css.exhaustive_distance(code, "X") == 3
-
-    def test_grid_spec_m1_reduces(self):
-        spec = kitaev_spec(1)
-        assert spec.n == 1
-        assert css.dimension(build(spec)) == 2
 
     def test_rotated_spec_t1(self):
         spec = optimized_kitaev_spec(1)
@@ -170,6 +173,13 @@ class TestFamilies:
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            kitaev_spec(0)
-        with pytest.raises(ValueError):
             optimized_kitaev_spec(0)
+
+
+def test_arithmetic_imports_no_gbcodex_module():
+    # number theory only: the code constructors live in gbcode
+    tree = ast.parse(inspect.getsource(arithmetic))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "math" in modules
+    assert [m for m in modules if m.startswith((".", "gbcodex"))] == []

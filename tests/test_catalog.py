@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -8,7 +9,6 @@ from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import (
     CSV_COLUMNS,
     analyze_length,
-    classify_family,
     lattice_fields,
     render_csv,
     render_json,
@@ -172,11 +172,33 @@ class TestSweep:
         for n in (5, 13, 25, 41, 61, 85):
             assert tags[n] == "optimized-kitaev"
         assert tags[2] == "new" and tags[74] == "new"
+        assert record_at(8, 65)["tag"] == "new"
 
-    def test_classify_grid_family(self):
-        assert classify_family(3, 9) == "kitaev"
-        assert classify_family(6, 9) == "kitaev"  # mirror of 3
-        assert classify_family(2, 9) == "new"
+    def test_tag_rule_matches_orbit_classification(self):
+        def orbit_tag(alpha, n):
+            # the tag as once decided from (alpha, n): the square grid alpha = +-m at n = m^2, or
+            # the rotated grid alpha = +-(t + 1)/t at n = 2t^2 + 2t + 1
+            orbit = {alpha % n, (n - alpha) % n}
+            m = math.isqrt(n)
+            if m * m == n and m % n in orbit:
+                return "kitaev"
+            t = (math.isqrt(2 * n - 1) - 1) // 2
+            for cand in (t, t + 1):
+                if cand >= 1 and 2 * cand * cand + 2 * cand + 1 == n:
+                    if math.gcd(cand, n) == 1 and (cand + 1) * pow(cand, -1, n) % n in orbit:
+                        return "optimized-kitaev"
+            return "new"
+
+        tags = []
+        for n in range(2, 20001):
+            alpha = strongest_root(n)
+            if alpha is not None:
+                fields = lattice_fields(alpha, n, [])
+                assert fields["tag"] == orbit_tag(alpha, n), n
+                # no row is a square grid: n = a^2 + b^2 = (a + b)^2 = d^2 forces ab = 0, i.e. n = 1
+                assert fields["d"] ** 2 != n, n
+                tags.append(fields["tag"])
+        assert tags.count("optimized-kitaev") == 99  # t = 1..99
 
 
 class TestSerialization:
@@ -284,6 +306,24 @@ class TestVerify:
         count, problems = verify_catalog(path)
         assert any("corrupt JSON" in p for p in problems)
 
+    @pytest.mark.parametrize("value,reason", [
+        ("[" * 10**5 + "]" * 10**5, "recursion"),
+        ("9" * 5000, "4300 digits"),
+    ], ids=["deep_nesting", "long_integer"])
+    @pytest.mark.parametrize("lineno", [1, 6], ids=["header", "record"])
+    def test_undecodable_json_named_by_line(self, tmp_path, value, reason, lineno):
+        # lines json.loads rejects with RecursionError or a plain ValueError, not JSONDecodeError
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(30), 30)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        lines[lineno - 1:lineno] = ['{"n":' + value + "}"]
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        count, problems = verify_catalog(path)
+        assert count == len(lines) - 1 and len(problems) == 1
+        assert problems[0].startswith(f"line {lineno}: corrupt JSON (") and reason in problems[0]
+
     def test_weaker_root_json_rejected(self, tmp_path):
         # the full length-130 catalog with the n = 65 row taken at the weaker
         # root class alpha = 8 (a self-consistent record with d = 9, not 11)
@@ -295,13 +335,16 @@ class TestVerify:
             16, [f"line {lineno}: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"])
 
     def test_weaker_root_csv_rejected(self, tmp_path):
+        # the full length-130 export, as in the JSON twin: a CSV must be complete,
+        # so a lone n = 65 row would be reported only as the missing row for n = 2
+        records = [record_at(8, 65) if r["n"] == 65 else r for r in sweep_catalog(130)]
         path = str(tmp_path / "catalog.csv")
-        write_catalog(path, [record_at(8, 65)], 130, fmt="csv")
+        write_catalog(path, records, 130, fmt="csv")
+        lineno = 2 + [r["n"] for r in records].index(65)
         with open(path) as f:
-            assert f.read().splitlines()[1].startswith("130,2,9,65,8,")
-        count, problems = verify_catalog(path)
-        assert count == 1
-        assert problems == ["line 2: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"]
+            assert f.read().splitlines()[lineno - 1].startswith("130,2,9,65,8,")
+        assert verify_catalog(path) == (
+            16, [f"line {lineno}: alpha 8 is not the strongest root of -1 mod 65 (expected 18)"])
 
     def test_missing_root_in_alphas_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
@@ -355,6 +398,28 @@ class TestVerify:
         path = str(tmp_path / "catalog.ndjson")
         write_catalog(path, [r for r in sweep_catalog(60) if r["n"] != n], 60)
         assert verify_catalog(path) == (7, [f"missing row for n = {n}"])
+
+    def test_missing_csv_row_rejected(self, tmp_path):
+        # a CSV export has no header bound: it must hold every admissible n up to its largest
+        path = str(tmp_path / "catalog.csv")
+        write_catalog(path, [r for r in sweep_catalog(60) if r["n"] != 13], 60, fmt="csv")
+        assert verify_catalog(path) == (7, ["missing row for n = 13"])
+
+    @pytest.mark.parametrize("fmt,n", [("json", 10**18 + 9), ("csv", 100000000000097)])
+    def test_rows_past_first_gap_not_derived(self, tmp_path, monkeypatch, fmt, n):
+        # one row at a huge n costs nothing: the gap at n = 2 is found first
+        path = str(tmp_path / f"catalog.{fmt}")
+        write_catalog(path, [], 10**30, fmt=fmt)
+        with open(path, "a") as f:
+            f.write(json.dumps({"alpha": 5, "n": n}) + "\n" if fmt == "json" else f"{2 * n},2,0,{n},5,0,0,x\n")
+        primitive_two_squares = arithmetic.primitive_two_squares
+
+        def guarded(m):
+            assert m < 100, f"scanned n = {m} past the first gap"
+            return primitive_two_squares(m)
+
+        monkeypatch.setattr(arithmetic, "primitive_two_squares", guarded)
+        assert verify_catalog(path) == (1, ["missing row for n = 2"])
 
     def test_missing_row_scan_stops_at_first_gap(self, tmp_path, monkeypatch):
         # a huge max_length costs nothing: the scan stops at n = 2, the first admissible n

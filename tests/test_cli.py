@@ -202,6 +202,14 @@ class TestSweepAndVerify:
         assert code == 1
         assert "not UTF-8" in err
 
+    @pytest.mark.parametrize("value", ["[" * 10**5 + "]" * 10**5, "9" * 5000], ids=["deep_nesting", "long_integer"])
+    def test_verify_undecodable_json_exits_1(self, capsys, tmp_path, value):
+        path = tmp_path / "cat.ndjson"
+        path.write_text('{"n":' + value + "}\n")
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert err.startswith("line 1: corrupt JSON (")
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.ndjson"))
         assert code == 1

@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,16 +9,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+README_COMMANDS = re.search(r"^## Command line\n\n```\n(.*?)^```$", README, re.M | re.S)[1].splitlines()
 
 
 def test_demos_found():
     assert DEMOS
 
 
-def run_python(args):
+def run_python(args, cwd=None):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, cwd=cwd)
     assert result.returncode == 0, result.stderr
 
 
@@ -30,3 +33,12 @@ def test_readme_python_blocks_run():
     assert README_BLOCKS
     for block in README_BLOCKS:
         run_python(["-c", block])
+
+
+def test_readme_commands_run(tmp_path):
+    # in order, in one directory, so each verify reads the catalog a sweep above it wrote
+    assert any(line.startswith("gbcodex verify catalog.csv") for line in README_COMMANDS)
+    for line in README_COMMANDS:
+        program, *args = shlex.split(line, comments=True)
+        assert program == "gbcodex", line
+        run_python(["-m", "gbcodex", *args], cwd=tmp_path)
