@@ -66,8 +66,8 @@ def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
     (b - a)^2 is 1 exactly for the rotated grid [[d^2 + 1, 2, d]], alpha =
     +-(t + 1)/t.  The square grid n = d^2 would need ab = 0, i.e. n = 1.
     """
-    lat = gb_lattice(alpha, n)
-    reduced, l1 = gauss_reduce(lat), min_l1(lat)
+    reduced = gauss_reduce(gb_lattice(alpha, n))
+    l1 = min_l1(reduced)  # reuses the reduced basis
     d, lambda2 = l1.value, reduced.b1[0] ** 2 + reduced.b1[1] ** 2  # b1 is a shortest vector
     return {
         "n": n,
@@ -201,6 +201,19 @@ def _header_problems(header: dict) -> list[str]:
     return problems
 
 
+def _csv_lines(reader):
+    """(line number, fields, None) per CSV row, or (line number, None, problem) for a row the reader rejects."""
+    while True:
+        try:
+            fields = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            yield reader.line_num, None, f"corrupt CSV ({exc})"
+        else:
+            yield reader.line_num, fields, None
+
+
 def verify_catalog(path: str) -> tuple[int, list[str]]:
     """Recheck every record of a written catalog.
 
@@ -244,15 +257,17 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                     max_length = None if header_problems else record["max_length"]
         else:
             keys, render = CSV_COLUMNS, str
-            reader = csv.reader(f)
-            header = next(reader, None)
+            lines = _csv_lines(csv.reader(f))
+            _, header, problem = next(lines, (1, None, None))
             if header != CSV_COLUMNS:
-                return 0, [f"line 1: unexpected CSV columns {header}"]
-            for fields in reader:
-                if len(fields) == len(CSV_COLUMNS):
-                    rows.append((reader.line_num, dict(zip(CSV_COLUMNS, fields)), None))
+                return 0, [f"line 1: {problem or f'unexpected CSV columns {header}'}"]
+            for lineno, fields, problem in lines:
+                if problem:
+                    rows.append((lineno, None, problem))
+                elif len(fields) == len(CSV_COLUMNS):
+                    rows.append((lineno, dict(zip(CSV_COLUMNS, fields)), None))
                 elif fields:
-                    rows.append((reader.line_num, None, f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}"))
+                    rows.append((lineno, None, f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}"))
     stored = set()
     for _, row, _ in rows:
         with contextlib.suppress(*_MALFORMED):

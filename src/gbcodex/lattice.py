@@ -89,6 +89,12 @@ def gauss_reduce(lat: Lattice2D) -> Lattice2D:
     return Lattice2D(b1, b2)
 
 
+def _reduced(lat: Lattice2D) -> Lattice2D:
+    """lat itself when its basis already meets ``gauss_reduce``'s exit condition, else its reduction."""
+    n1 = _norm2(lat.b1)
+    return lat if n1 <= _norm2(lat.b2) and 2 * abs(_dot(lat.b1, lat.b2)) <= n1 else gauss_reduce(lat)
+
+
 def shortest_norm2(lat: Lattice2D) -> int:
     """Exact squared length of a shortest nonzero vector."""
     return _norm2(gauss_reduce(lat).b1)
@@ -100,10 +106,11 @@ def enumerate_short(lat: Lattice2D, radius_l1: int) -> list[Vec]:
     Coefficient bounds come from the reduced basis: for Gauss-reduced b1, b2
     and any c1 b1 + c2 b2 of Euclidean norm <= R, |c_i|^2 <= 4R^2 / (3 |b_i|^2).
     L1 <= radius implies Euclidean <= radius, so the double loop is enclosing.
+    A basis that is already reduced is used as it is.
     """
     if radius_l1 < 1:
         raise ValueError("radius must be at least 1")
-    red = gauss_reduce(lat)
+    red = _reduced(lat)
     b1, b2 = red.b1, red.b2
     n1, n2 = _norm2(b1), _norm2(b2)
     r2 = radius_l1 * radius_l1
@@ -128,9 +135,10 @@ def min_l1(lat: Lattice2D) -> L1Minimum:
     """Minimum L1 norm over nonzero lattice vectors, with one witness.
 
     The witness is the lexicographically smallest (|x|+|y|, x, y) among the
-    minimizers, so catalogs are deterministic.
+    minimizers, so catalogs are deterministic.  The lattice is reduced once,
+    and not at all when its basis already is.
     """
-    red = gauss_reduce(lat)
-    candidates = enumerate_short(lat, _l1(red.b1))
+    red = _reduced(lat)
+    candidates = enumerate_short(red, _l1(red.b1))
     best = candidates[0]  # sorted by (L1, x, y); b1 itself guarantees nonempty
     return L1Minimum(_l1(best), best)

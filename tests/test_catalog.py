@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gbcodex import arithmetic, catalog, css, distance, gbcode, gf2matrix
+from gbcodex import arithmetic, catalog, css, distance, gbcode, gf2matrix, lattice
 from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import (
     CSV_COLUMNS,
@@ -166,6 +166,21 @@ class TestSweep:
         scanned.clear()
         analyze_length(65)
         assert scanned == [65]
+
+    def test_one_reduction_per_lattice_fields(self, monkeypatch):
+        # min_l1 and enumerate_short reuse the reduced basis instead of reducing again
+        reduced = []
+        gauss_reduce = lattice.gauss_reduce
+
+        def counted(lat):
+            reduced.append(lat)
+            return gauss_reduce(lat)
+
+        monkeypatch.setattr(lattice, "gauss_reduce", counted)
+        monkeypatch.setattr(catalog, "gauss_reduce", counted)
+        fields = lattice_fields(18, 65, sqrt_minus_one_all(65))
+        assert len(reduced) == 1
+        assert (fields["d"], fields["basis"], fields["t_witness"]) == (11, [[4, 7], [7, -4]], [-7, 4])
 
     def test_family_tags(self, records_200):
         tags = {r["n"]: r["tag"] for r in records_200}
@@ -523,6 +538,17 @@ class TestVerify:
         with open(path, "w") as f:
             f.write(",".join(CSV_COLUMNS) + "\n10,2,3,5,2,3,3\n")
         assert verify_catalog(path) == (1, ["line 2: expected 8 fields, got 7"])
+
+    @pytest.mark.parametrize("lineno", [1, 2], ids=["header", "record"])
+    def test_csv_field_over_reader_limit_named_by_line(self, tmp_path, lineno):
+        # the csv module rejects a field longer than csv.field_size_limit() (131072)
+        path = str(tmp_path / "catalog.csv")
+        lines = [",".join(CSV_COLUMNS), "10,2,3,5,2,3,3,sandwich-closed"]
+        lines[lineno - 1] = "10," + "9" * 200_000
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        count, problems = verify_catalog(path)
+        assert problems == [f"line {lineno}: corrupt CSV (field larger than field limit (131072))"]
 
     def test_non_utf8_catalog_is_a_problem(self, tmp_path):
         path = str(tmp_path / "catalog.ndjson")

@@ -210,6 +210,13 @@ class TestSweepAndVerify:
         assert code == 1
         assert err.startswith("line 1: corrupt JSON (")
 
+    def test_verify_csv_field_over_reader_limit_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "cat.csv"
+        path.write_text("length,k,d,n,alpha,lower,upper,method\n10,2,3,5,2,3,3," + "x" * 200_000 + "\n")
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert err.startswith("line 2: corrupt CSV (field larger than field limit")
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.ndjson"))
         assert code == 1
@@ -225,8 +232,8 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "exact=3" in result.stdout
 
-    def test_catalog_paths_load_no_numpy(self, tmp_path):
-        # only the exhaustive oracle needs numpy; sweep, verify and determine must not import it
+    def test_library_loads_no_numpy(self, tmp_path):
+        # sweep, verify, determine and the exhaustive oracle are pure Python
         script = f"""
 import sys
 from gbcodex import build, canonical_spec, determine, exhaustive_distance
@@ -237,6 +244,7 @@ assert main(["verify", path]) == 0
 assert determine(5, 13).exact == 5
 assert "numpy" not in sys.modules, "numpy loaded"
 assert exhaustive_distance(build(canonical_spec(5, 13))) == 5
+assert "numpy" not in sys.modules, "numpy loaded by the oracle"
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)

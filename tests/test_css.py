@@ -112,7 +112,7 @@ class TestExhaustiveDistance:
         assert css.is_logical_x(code_10_2_3, witness)
 
     def test_against_naive_enumeration(self):
-        # cross-check the vectorized engine on tiny random CSS pairs
+        # cross-check the search on tiny random CSS pairs
         rng = random.Random(37)
         checked = 0
         while checked < 25:
@@ -164,7 +164,7 @@ def _check_side(code, side, expected):
 
 
 class TestPrunedSweep:
-    """Kernel dimension 17..26: the sweep has high stabilizers, where the pivot-weight bound prunes rows."""
+    """Kernel dimension 17..26, up to the cap: the search stops many levels before the last."""
 
     @pytest.mark.parametrize("n", range(16, 26))
     def test_canonical_codes_match_graphlike(self, n):
@@ -189,10 +189,10 @@ class TestPrunedSweep:
 
     def test_padding_past_64_columns(self):
         # p fresh columns below the code, each pinned out of ker(h_x) by an
-        # identity row, push it onto a second 64-bit word; the kernel is the same
+        # identity row, shift every vector past bit 64; the kernel is the same
         code = gb("1+x", "1+x^7", 25)
         stabilizers, logicals = css.logical_space(code, "X")
-        assert len(stabilizers) + len(logicals) > 16 + len(logicals)
+        assert len(stabilizers) + len(logicals) == css.DEFAULT_KERNEL_CAP
         p = 71
         padded = css.new_css(
             BitMatrix(tuple(1 << i for i in range(p)) + tuple(r << p for r in code.h_x.rows), p + code.length),
@@ -200,7 +200,7 @@ class TestPrunedSweep:
         )
         weight, witness = css.min_weight_logical(code, "X")
         padded_weight, padded_witness = css.min_weight_logical(padded, "X")
-        assert (padded.length + 63) // 64 == 2  # the sweep packs each vector into two words
+        assert padded.length > 64  # vectors wider than one machine word
         assert (padded_weight, padded_witness >> p, padded_witness & ((1 << p) - 1)) == (weight, witness, 0)
         assert css.is_logical_x(padded, padded_witness)
 
@@ -209,7 +209,7 @@ class TestSweepEdgeCases:
     """Against naive_min_logical; only the weight and the witness's logicality are specified."""
 
     @pytest.mark.parametrize("x_rows,z_rows,cols,n_stabilizers", [
-        ([0b00011, 0b00110], [], 5, 0),  # no stabilizers: a one-row table
+        ([0b00011, 0b00110], [], 5, 0),  # no stabilizers: every sum of generators is a logical
         (list(gb("1+x", "1+x^2", 5).h_x.rows), list(gb("1+x", "1+x^2", 5).h_z.rows), 10, 4),
         ([], [], 10, 0),  # no checks: every unit vector is a minimum-weight logical
     ], ids=["no_stabilizers", "few_stabilizers", "all_ties"])
@@ -219,7 +219,7 @@ class TestSweepEdgeCases:
         _check_side(code, "X", naive_min_logical(x_rows, z_rows, cols))
 
     def test_any_stabilizer_basis(self):
-        # logical_space returns stabilizers in reduced echelon form; the sweep
+        # logical_space returns stabilizers in reduced echelon form; the search
         # must not rely on it, so feed it random bases and compare with the spans
         rng = random.Random(41)
         checked = 0
@@ -243,6 +243,59 @@ class TestSweepEdgeCases:
         assert sum(v.bit_count() == 2 and css.is_logical_x(code, v) for v in range(1 << 14)) == 7
         _check_side(code, "X", naive_min_logical(x_rows, z_rows, 14))
         _check_side(code, "Z", naive_min_logical(z_rows, x_rows, 14))
+
+
+class TestTwoInformationSets:
+    """Seeded random bases against the spans: ncols 20..70, K <= 16, 1..4 logicals.
+
+    The generators live on ``m`` of the ncols columns and the others are
+    zero.  Any information set of K columns then leaves m - K columns where
+    the rank is at most m - K, so the defect is at least 2K - m.
+    """
+
+    @staticmethod
+    def _basis(rng, ncols, m, k):
+        """k independent random vectors on m random columns of ncols, as (stabilizers, logicals)."""
+        columns = rng.sample(range(ncols), m)
+        while True:
+            vectors = [sum(1 << c for c in columns if rng.random() < 0.5) for _ in range(k)]
+            if list_rank_gf2([[(v >> j) & 1 for j in range(ncols)] for v in vectors]) == k:
+                n_logicals = rng.randrange(1, min(4, k) + 1)
+                return vectors[n_logicals:], vectors[:n_logicals]
+
+    def _check(self, stabilizers, logicals, ncols):
+        coset_members = span(stabilizers + logicals) - span(stabilizers)
+        weight, witness = css._min_logical_weight(stabilizers, logicals, ncols)
+        assert weight == min(v.bit_count() for v in coset_members)
+        assert witness in coset_members and witness.bit_count() == weight
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_defect(self, seed):
+        rng = random.Random(1000 + seed)
+        ncols, k = rng.randrange(20, 71), rng.randrange(4, 17)
+        m = rng.randrange(k + 1, min(2 * k, ncols + 1))  # defect at least 2k - m >= 1
+        self._check(*self._basis(rng, ncols, m, k), ncols)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_no_rank_off_the_first_information_set(self, seed):
+        # m = K: the first information set is every nonzero column, so r2 = 0
+        rng = random.Random(2000 + seed)
+        ncols, k = rng.randrange(20, 71), rng.randrange(1, 17)
+        self._check(*self._basis(rng, ncols, k, k), ncols)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_zero_padding_columns(self, seed):
+        # m >= 2K nonzero columns, so the defect can be 0, among zero columns
+        rng = random.Random(3000 + seed)
+        ncols, k = rng.randrange(20, 71), rng.randrange(1, 17)
+        m = rng.randrange(min(2 * k, ncols - 1), ncols)
+        self._check(*self._basis(rng, ncols, m, k), ncols)
+
+    def test_no_checks_every_column_a_generator(self):
+        # K = ncols = 20 unit vectors, 4 of them logicals: d = 1, r2 = 0
+        units = [1 << i for i in range(20)]
+        weight, witness = css._min_logical_weight(units[4:], units[:4], 20)
+        assert weight == 1 and witness in units[:4]
 
 
 class TestGraphlikeOracle:
