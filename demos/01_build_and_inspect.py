@@ -6,11 +6,13 @@ where A, B are the n x n circulants of the generators; circulants commute, so
 the pair is automatically a valid CSS pair.
 """
 
-from gbcodex import GbSpec, build, dimension, dimension_formula, exhaustive_distance, parse_poly
+from gbcodex.css import dimension, exhaustive_distance
+from gbcodex.gbcode import GbSpec, build, dimension_formula
+from gbcodex.gf2poly import parse_poly
 
 
 def show(a_text, b_text, n):
-    spec = GbSpec(parse_poly(a_text), parse_poly(b_text), n)
+    spec = GbSpec(parse_poly(a_text, n), parse_poly(b_text, n), n)
     code = build(spec)
     k_rank = dimension(code)
     k_gcd = dimension_formula(spec)

@@ -10,9 +10,10 @@ mod 2.  Faces meet both cuts evenly; the staircase of a primitive lattice
 vector meets one oddly, so it is a logical operator.
 """
 
-from gbcodex import TorusGraph, build, canonical_spec, is_logical_x
+from gbcodex.css import is_logical_x
+from gbcodex.gbcode import build, canonical_spec
 from gbcodex.gf2matrix import mat_vec
-from gbcodex.torus_graph import edge_support
+from gbcodex.torus_graph import TorusGraph, edge_support
 
 
 def cut_parities(graph, bits):

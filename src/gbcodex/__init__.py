@@ -1,14 +1,19 @@
-"""Weight-4 generalized bicycle CSS codes.
+"""Weight-4 generalized bicycle CSS codes, decided by a 2D integer lattice.
 
-Construction from circulant generator pairs, exact code parameters over
-GF(2), exact minimum distances through an attached 2D integer lattice,
-explicit logical-operator certificates, and catalog sweeps over all
-admissible lengths.
+The package namespace is the lattice path: number theory (``arithmetic``),
+lattice reduction and L1 enumeration (``lattice``), edge sets on the torus
+graph (``torus_graph``), exact distance reports (``distance``) and catalog
+sweeps (``catalog``, ``cli``).  None of these modules imports the dense
+GF(2) layer at module level.
+
+The dense layer is the checker and test oracle: ``gf2poly`` (polynomials),
+``gf2matrix`` (bit matrices), ``css`` (rank, logical tests, exhaustive
+distance) and ``gbcode`` (circulant construction and weight-2 canonical
+forms).  Import its names from those modules.
 """
 
 from .arithmetic import is_admissible, primitive_two_squares, sqrt_minus_one_all
 from .catalog import analyze_length, sweep_catalog, verify_catalog, write_catalog
-from .css import CssCode, dimension, exhaustive_distance, is_logical_x, min_weight_logical, new_css
 from .distance import (
     DistanceReport,
     determine,
@@ -16,10 +21,6 @@ from .distance import (
     parity_refined_lower,
     upper_bound_certificate,
 )
-from .gbcode import (GbSpec, build, canonical_spec, canonicalize_w2, dimension_formula, optimized_kitaev_spec,
-                     shift_normalize)
-from .gf2matrix import BitMatrix, circulant, hstack, kernel_basis, mat_mul, rank, row_space_contains, transpose
-from .gf2poly import BinaryPolynomial, add, gcd, mul_mod, parse_poly, substitute_power, x_pow_minus_one
 from .lattice import Lattice2D, enumerate_short, gauss_reduce, gb_lattice, min_l1
 from .torus_graph import TorusGraph
 

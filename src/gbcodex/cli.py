@@ -8,14 +8,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import catalog, css, gbcode
+from . import catalog
 from .distance import determine
-from .gf2poly import parse_poly
 from .lattice import ceil_sqrt, gb_lattice, min_l1, shortest_norm2
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    spec = gbcode.GbSpec(parse_poly(args.a), parse_poly(args.b), args.n)
+    from . import css, gbcode
+    from .gf2poly import parse_poly
+
+    spec = gbcode.GbSpec(parse_poly(args.a, args.n), parse_poly(args.b, args.n), args.n)
     code = gbcode.build(spec)
     k_rank = css.dimension(code)
     k_gcd = gbcode.dimension_formula(spec)
@@ -50,7 +52,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    alpha = gbcode.canonicalize_w2(args.u, args.v, args.n)
+    from .gbcode import canonicalize_w2
+
+    alpha = canonicalize_w2(args.u, args.v, args.n)
     lam2 = shortest_norm2(gb_lattice(alpha, args.n))
     print(f"alpha={alpha} lower-bound={ceil_sqrt(lam2)} lambda2={lam2}")
     return 0

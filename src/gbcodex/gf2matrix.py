@@ -27,27 +27,6 @@ class BitMatrix:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    @classmethod
-    def from_rows(cls, rows: list[list[int]]) -> BitMatrix:
-        cols = len(rows[0]) if rows else 0
-        packed = []
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            packed.append(sum((1 << j) for j, v in enumerate(row) if v & 1))
-        return cls(tuple(packed), cols)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> BitMatrix:
-        return cls((0,) * rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> BitMatrix:
-        return cls(tuple(1 << i for i in range(n)), n)
-
 
 def circulant(p: BinaryPolynomial, n: int) -> BitMatrix:
     """n x n circulant with first column equal to the coefficient vector of p.

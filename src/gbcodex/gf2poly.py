@@ -1,9 +1,9 @@
-"""Polynomial arithmetic over GF(2), including the quotient ring mod x^n - 1.
+"""Polynomial arithmetic over GF(2): sums, remainders, gcds and exponent maps.
 
 A polynomial is stored as a bit-packed integer: bit i of ``mask`` holds the
-coefficient of x^i.  Addition is XOR, multiplication is carry-less.  The zero
-polynomial has mask 0 and degree ``None`` (an explicit sentinel, so Euclid's
-loop never has to do arithmetic on a fake negative degree).
+coefficient of x^i, and addition is XOR.  The zero polynomial has mask 0 and
+degree ``None`` (an explicit sentinel, so Euclid's loop never has to do
+arithmetic on a fake negative degree).
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class BinaryPolynomial:
             mask ^= 1 << e
         return cls(mask)
 
-    @classmethod
-    def x_power(cls, k: int) -> BinaryPolynomial:
-        if k < 0:
-            raise ValueError("exponents must be nonnegative")
-        return cls(1 << k)
-
     def __add__(self, other: BinaryPolynomial) -> BinaryPolynomial:
         return add(self, other)
 
@@ -66,20 +60,6 @@ class BinaryPolynomial:
 def add(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:
     """Coefficientwise XOR."""
     return BinaryPolynomial(p.mask ^ q.mask)
-
-
-def mul(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:
-    """Carry-less product (no reduction)."""
-    a, b = p.mask, q.mask
-    if a < b:
-        a, b = b, a
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return BinaryPolynomial(acc)
 
 
 def mod_poly(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:
@@ -110,22 +90,6 @@ def x_pow_minus_one(n: int) -> BinaryPolynomial:
     return BinaryPolynomial((1 << n) | 1)
 
 
-def reduce_mod_xn(p: BinaryPolynomial, n: int) -> BinaryPolynomial:
-    """Reduce modulo x^n - 1: exponents wrap around mod n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    mask = p.mask
-    low = (1 << n) - 1
-    while mask >> n:
-        mask = (mask & low) ^ (mask >> n)
-    return BinaryPolynomial(mask)
-
-
-def mul_mod(p: BinaryPolynomial, q: BinaryPolynomial, n: int) -> BinaryPolynomial:
-    """Product in GF(2)[x]/(x^n - 1)."""
-    return reduce_mod_xn(mul(p, q), n)
-
-
 def substitute_power(p: BinaryPolynomial, k: int, n: int) -> BinaryPolynomial:
     """p(x^k) mod x^n - 1: each exponent i maps to i*k mod n, collisions cancel."""
     if k < 1:
@@ -138,11 +102,15 @@ def substitute_power(p: BinaryPolynomial, k: int, n: int) -> BinaryPolynomial:
     return BinaryPolynomial(mask)
 
 
-def parse_poly(text: str) -> BinaryPolynomial:
+def parse_poly(text: str, n: int) -> BinaryPolynomial:
     """Parse the textual form ``term ("+" term)*`` with term one of 0, 1, x, x^INT.
 
-    Raises ValueError naming the offending position on malformed input.
+    The result is a residue mod x^n - 1, so every exponent must be below n;
+    a larger one is rejected before its bit is built.  Raises ValueError
+    naming the offending term and position on malformed input.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     mask = 0
     pos = 0
     if not text.strip():
@@ -150,20 +118,24 @@ def parse_poly(text: str) -> BinaryPolynomial:
     for chunk in text.split("+"):
         term = chunk.strip()
         at = pos + chunk.index(term) if term else pos
+        pos += len(chunk) + 1
         if term == "0":
-            pass
-        elif term == "1":
-            mask ^= 1
+            continue
+        if term == "1":
+            digits = "0"
         elif term == "x":
-            mask ^= 2
+            digits = "1"
         elif term.startswith("x^"):
-            exp = term[2:]
-            if not exp.isdigit():
-                raise ValueError(f"invalid exponent {exp!r} at position {at}")
-            mask ^= 1 << int(exp)
+            digits = term[2:]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"invalid exponent {digits!r} at position {at}")
         else:
             raise ValueError(f"invalid term {term!r} at position {at}")
-        pos += len(chunk) + 1
+        # more digits than n means exponent >= n; int() refuses over 4300 digits
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(n)) or int(digits) >= n:
+            raise ValueError(f"term {term!r} at position {at} has exponent >= n = {n}")
+        mask ^= 1 << int(digits)
     return BinaryPolynomial(mask)
 
 

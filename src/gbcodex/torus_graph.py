@@ -15,9 +15,6 @@ a multigraph.
 
 from __future__ import annotations
 
-from . import gf2matrix
-from .gf2matrix import BitMatrix
-
 
 def edge_support(bits: int) -> tuple[int, ...]:
     """The edge indices of an edge set, ascending."""
@@ -110,5 +107,7 @@ class TorusGraph:
 
     def is_sum_of_faces(self, bits: int) -> bool:
         """Row-space membership in h_z; faces generate exactly the X stabilizers."""
+        from .gf2matrix import BitMatrix, row_space_contains
+
         faces = BitMatrix(tuple(self.face(p) for p in range(self.n)), 2 * self.n)
-        return gf2matrix.row_space_contains(faces, bits)
+        return row_space_contains(faces, bits)

@@ -51,6 +51,14 @@ class TestConstruct:
         assert code == 2
         assert "position" in err
 
+    @pytest.mark.parametrize("term", ["x^5", "x^10000000000000000000"])
+    def test_exponent_at_least_n_exits_2(self, capsys, term):
+        # rejected before 1 << exponent is built: 10^19 bits exceed any address space
+        code, out, err = run_cli(capsys, "construct", "--a", f"1+{term}", "--b", "1+x", "--n", "5")
+        assert code == 2
+        assert out == ""
+        assert f"term {term!r} at position 2 has exponent >= n = 5" in err
+
 
 class TestDistance:
     def test_exact_small(self, capsys):
@@ -236,8 +244,10 @@ class TestEntryPoint:
         # sweep, verify, determine and the exhaustive oracle are pure Python
         script = f"""
 import sys
-from gbcodex import build, canonical_spec, determine, exhaustive_distance
+from gbcodex import determine
 from gbcodex.cli import main
+from gbcodex.css import exhaustive_distance
+from gbcodex.gbcode import build, canonical_spec
 path = {str(tmp_path / "cat.ndjson")!r}
 assert main(["sweep", "--max-length", "60", "--output", path]) == 0
 assert main(["verify", path]) == 0
@@ -245,6 +255,28 @@ assert determine(5, 13).exact == 5
 assert "numpy" not in sys.modules, "numpy loaded"
 assert exhaustive_distance(build(canonical_spec(5, 13))) == 5
 assert "numpy" not in sys.modules, "numpy loaded by the oracle"
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+
+    def test_lattice_path_loads_no_dense_module(self, tmp_path):
+        path = str(tmp_path / "cat.ndjson")
+        assert main(["sweep", "--max-length", "60", "--output", path]) == 0
+        script = f"""
+import sys
+def absent(*names):
+    present = [m for m in names if "gbcodex." + m in sys.modules]
+    assert not present, present
+import gbcodex
+from gbcodex.cli import main
+absent("gf2poly", "gf2matrix", "css", "gbcode")
+assert main(["verify", {path!r}]) == 0
+absent("gf2poly", "gf2matrix", "css", "gbcode")
+assert main(["sweep", "--max-length", "60", "--output", {path!r}]) == 0
+assert main(["distance", "--alpha", "5", "--n", "13"]) == 0
+# gf2matrix and gf2poly still load here, through TorusGraph.is_sum_of_faces in determine
+absent("css", "gbcode")
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)

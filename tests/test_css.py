@@ -18,12 +18,8 @@ from oracle_utils import (
 )
 
 
-def P(text):
-    return parse_poly(text)
-
-
 def gb(a, b, n):
-    return build(GbSpec(P(a), P(b), n))
+    return build(GbSpec(parse_poly(a, n), parse_poly(b, n), n))
 
 
 @pytest.fixture(scope="module")
@@ -36,17 +32,17 @@ class TestNewCss:
         assert code_10_2_3.length == 10
 
     def test_non_orthogonal_rejected(self):
-        h_x = BitMatrix.from_rows([[1, 1]])
-        h_z = BitMatrix.from_rows([[1, 0]])
+        h_x = BitMatrix((0b11,), 2)
+        h_z = BitMatrix((0b01,), 2)
         with pytest.raises(ValueError, match="not orthogonal"):
             css.new_css(h_x, h_z)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            css.new_css(BitMatrix.zeros(1, 3), BitMatrix.zeros(1, 4))
+            css.new_css(BitMatrix((0,), 3), BitMatrix((0,), 4))
 
     def test_zero_checks_accepted(self):
-        code = css.new_css(BitMatrix.zeros(2, 4), BitMatrix.zeros(2, 4))
+        code = css.new_css(BitMatrix((0, 0), 4), BitMatrix((0, 0), 4))
         assert css.dimension(code) == 4
 
 
@@ -119,7 +115,7 @@ class TestExhaustiveDistance:
             n = rng.randrange(2, 7)
             a = rng.getrandbits(n)
             b = rng.getrandbits(n)
-            code = build(GbSpec(P("0") if a == 0 else _from_mask(a), _from_mask(b), n))
+            code = build(GbSpec(_from_mask(a), _from_mask(b), n))
             got_x = css.exhaustive_distance(code, "X", cap=14)
             want_x = naive_min_logical(list(code.h_x.rows), list(code.h_z.rows), code.length)
             assert got_x == want_x

@@ -17,7 +17,7 @@ from gbcodex.gf2poly import BinaryPolynomial, parse_poly
 
 
 def P(text):
-    return parse_poly(text)
+    return parse_poly(text, 64)  # a bound above every exponent used here
 
 
 class TestBuild:

@@ -13,12 +13,12 @@ from gbcodex.gf2matrix import (
     row_space_contains,
     transpose,
 )
-from gbcodex.gf2poly import BinaryPolynomial, gcd, mul_mod, parse_poly, x_pow_minus_one
-from oracle_utils import bit_rows_to_lists, list_rank_gf2, span
+from gbcodex.gf2poly import BinaryPolynomial, gcd, parse_poly, x_pow_minus_one
+from oracle_utils import bit_rows_to_lists, list_rank_gf2, schoolbook_mul_mod, span
 
 
 def P(text):
-    return parse_poly(text)
+    return parse_poly(text, 64)  # a bound above every exponent used here
 
 
 def random_matrix(rng, rows, cols):
@@ -27,13 +27,13 @@ def random_matrix(rng, rows, cols):
 
 class TestCirculant:
     def test_one_gives_identity(self):
-        assert circulant(P("1"), 3) == BitMatrix.identity(3)
+        assert circulant(P("1"), 3) == BitMatrix((0b001, 0b010, 0b100), 3)
 
     def test_x_gives_cyclic_permutation(self):
         m = circulant(P("x"), 3)
         for i in range(3):
             for j in range(3):
-                assert m.entry(i, j) == (1 if (i - j) % 3 == 1 else 0)
+                assert (m.rows[i] >> j) & 1 == (1 if (i - j) % 3 == 1 else 0)
 
     def test_rank_example(self):
         # independent elimination oracle on the expanded 0/1 lists
@@ -44,7 +44,7 @@ class TestCirculant:
     def test_first_column_is_coefficient_vector(self):
         p = P("1+x^2+x^3")
         m = circulant(p, 6)
-        col0 = [m.entry(i, 0) for i in range(6)]
+        col0 = [row & 1 for row in m.rows]
         assert col0 == [1, 0, 1, 1, 0, 0]
 
     def test_too_wide_rejected(self):
@@ -54,10 +54,10 @@ class TestCirculant:
 
 class TestRank:
     def test_identity(self):
-        assert rank(BitMatrix.identity(5)) == 5
+        assert rank(BitMatrix((1, 2, 4, 8, 16), 5)) == 5
 
     def test_zero(self):
-        assert rank(BitMatrix.zeros(4, 7)) == 0
+        assert rank(BitMatrix((0,) * 4, 7)) == 0
 
     def test_circulant_example(self):
         assert rank(circulant(P("1+x"), 6)) == 5
@@ -77,10 +77,10 @@ class TestRank:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
-        assert kernel_basis(BitMatrix.identity(4)) == []
+        assert kernel_basis(BitMatrix((1, 2, 4, 8), 4)) == []
 
     def test_zero_matrix_full_kernel(self):
-        basis = kernel_basis(BitMatrix.zeros(2, 3))
+        basis = kernel_basis(BitMatrix((0, 0), 3))
         assert len(basis) == 3
         assert list_rank_gf2([[(v >> j) & 1 for j in range(3)] for v in basis]) == 3
 
@@ -104,7 +104,7 @@ class TestRowSpace:
         assert row_space_contains(m, 0)
 
     def test_identity_contains_everything(self):
-        m = BitMatrix.identity(5)
+        m = BitMatrix((1, 2, 4, 8, 16), 5)
         assert all(row_space_contains(m, v) for v in range(1 << 5))
 
     def test_against_span_enumeration(self):
@@ -118,12 +118,12 @@ class TestRowSpace:
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            row_space_contains(BitMatrix.identity(3), 1 << 3)
+            row_space_contains(BitMatrix((1, 2, 4), 3), 1 << 3)
 
 
 class TestBlocksAndProducts:
     def test_hstack_identities(self):
-        m = hstack(BitMatrix.identity(2), BitMatrix.identity(2))
+        m = hstack(BitMatrix((1, 2), 2), BitMatrix((1, 2), 2))
         assert bit_rows_to_lists(m) == [[1, 0, 1, 0], [0, 1, 0, 1]]
 
     def test_circulants_commute(self):
@@ -138,7 +138,7 @@ class TestBlocksAndProducts:
 
     def test_product_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mat_mul(BitMatrix.identity(3), BitMatrix.identity(4))
+            mat_mul(BitMatrix((1, 2, 4), 3), BitMatrix((1, 2, 4, 8), 4))
 
     def test_circulant_ring_homomorphism(self):
         rng = random.Random(17)
@@ -147,7 +147,7 @@ class TestBlocksAndProducts:
             p = BinaryPolynomial(rng.getrandbits(n))
             q = BinaryPolynomial(rng.getrandbits(n))
             lhs = mat_mul(circulant(p, n), circulant(q, n))
-            rhs = circulant(mul_mod(p, q, n), n)
+            rhs = circulant(BinaryPolynomial(schoolbook_mul_mod(p.mask, q.mask, n)), n)
             assert lhs == rhs
 
     def test_circulant_rank_formula(self):
