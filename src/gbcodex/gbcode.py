@@ -76,21 +76,6 @@ def dimension_formula(spec: GbSpec) -> int:
     return 2 * g.degree
 
 
-def shift_normalize(spec: GbSpec) -> GbSpec:
-    """Divide each generator by its lowest monomial, giving nonzero constant terms.
-
-    Multiplying a generator by a power of x permutes qubits, so the returned
-    spec defines an equivalent code.
-    """
-    if spec.a.is_zero or spec.b.is_zero:
-        raise ValueError("cannot shift-normalize a zero generator")
-    shifted = []
-    for p in (spec.a, spec.b):
-        low = (p.mask & -p.mask).bit_length() - 1
-        shifted.append(BinaryPolynomial(p.mask >> low))
-    return GbSpec(shifted[0], shifted[1], spec.n)
-
-
 def canonicalize_w2(u: int, v: int, n: int) -> int:
     """The alpha that makes (1 + x^u, 1 + x^v) mod x^n - 1 equivalent to (1 + x, 1 + x^alpha).
 
@@ -118,15 +103,12 @@ def canonicalize_w2(u: int, v: int, n: int) -> int:
 
 
 def weight2_exponents(spec: GbSpec) -> tuple[int, int] | None:
-    """Exponents (u, v) when both shift-normalized generators look like 1 + x^e."""
-    try:
-        norm = shift_normalize(spec)
-    except ValueError:
+    """Exponents (u, v) when the generators are x^i (1 + x^u) and x^j (1 + x^v), else None.
+
+    The monomial factor permutes qubits, so the code is that of (1 + x^u, 1 + x^v).
+    """
+    supports = [p.support() for p in (spec.a, spec.b)]
+    if any(len(s) != 2 for s in supports):
         return None
-    exps = []
-    for p in (norm.a, norm.b):
-        sup = p.support()
-        if len(sup) != 2 or sup[0] != 0:
-            return None
-        exps.append(sup[1])
-    return exps[0], exps[1]
+    (a0, a1), (b0, b1) = supports
+    return a1 - a0, b1 - b0

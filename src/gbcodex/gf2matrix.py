@@ -1,11 +1,14 @@
 """Dense GF(2) matrices stored as bit-packed integer rows.
 
 Bit j of a row integer is the entry in column j.  All operations are pure and
-work on copies; matrices are safe to share between threads.
+work on copies; matrices are safe to share between threads.  One Gaussian
+elimination, ``echelon``, serves rank, kernel and row space here and the
+logical split and exhaustive search in ``css``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .gf2poly import BinaryPolynomial
@@ -48,29 +51,45 @@ def circulant(p: BinaryPolynomial, n: int) -> BitMatrix:
     return BitMatrix(tuple(rows), n)
 
 
+def echelon(rows: Iterable[int], columns: int) -> tuple[list[int], int, list[int]]:
+    """Reduced echelon form of rows on pivots among the ``columns`` bits.
+
+    Returns (pivot rows, their pivot bits OR-ed, rest): each pivot row has
+    its own pivot bit, the lowest of its ``columns`` bits, which no other
+    returned row has; the rest are zero on ``columns``.  Together they span
+    what ``rows`` spans.
+    """
+    pairs: list[tuple[int, int]] = []  # (pivot bit, row)
+    rest = []
+    for v in rows:
+        for p, r in pairs:
+            if v & p:
+                v ^= r
+        if v & columns:
+            p = v & columns & -(v & columns)
+            pairs = [(q, r ^ v if r & p else r) for q, r in pairs]
+            pairs.append((p, v))
+        else:
+            rest.append(v)
+    return [r for _, r in pairs], sum(p for p, _ in pairs), rest
+
+
 def rref(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = list(m.rows)
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == len(work):
-            break
-        pivot = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivots.append(c)
-        r += 1
-    return tuple(work[:r]), tuple(pivots)
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    ``echelon`` on every column, with the rows sorted by pivot; the form of
+    a row space is unique, so any elimination order gives these rows.
+    """
+    rows = sorted(echelon(m.rows, (1 << m.cols) - 1)[0], key=lambda r: r & -r)
+    return tuple(rows), tuple((r & -r).bit_length() - 1 for r in rows)
 
 
-def rank(m: BitMatrix) -> int:
-    """GF(2) rank via Gaussian elimination on a copy."""
-    return len(rref(m)[0])
+def rref_reduce(rows: tuple[int, ...], pivots: tuple[int, ...], v: int) -> int:
+    """v with every pivot of an ``rref`` (rows, pivots) cleared by adding that row."""
+    for row, p in zip(rows, pivots):
+        if (v >> p) & 1:
+            v ^= row
+    return v
 
 
 def kernel_basis(m: BitMatrix) -> list[int]:
@@ -100,11 +119,7 @@ def row_space_contains(m: BitMatrix, v: int) -> bool:
     """True iff v is a GF(2) combination of the rows of m."""
     if v < 0 or v >> m.cols:
         raise ValueError("vector does not match the matrix width")
-    rows, pivots = rref(m)
-    for row, p in zip(rows, pivots):
-        if (v >> p) & 1:
-            v ^= row
-    return v == 0
+    return rref_reduce(*rref(m), v) == 0
 
 
 def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:

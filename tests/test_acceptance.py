@@ -192,7 +192,7 @@ def test_criterion_7_equivalence_transformations():
     def params(spec):
         code = build(spec)
         _register(spec, code)
-        return (code.length, css.dimension(code), css.exhaustive_distance(code, "X", cap=24))
+        return (code.length, css.dimension(code), css.exhaustive_distance(code, "X"))
 
     for _ in range(200):
         n = rng.randrange(2, 19)

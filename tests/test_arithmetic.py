@@ -16,7 +16,6 @@ from gbcodex.gbcode import (
     canonical_spec,
     dimension_formula,
     optimized_kitaev_spec,
-    shift_normalize,
     weight2_exponents,
 )
 from gbcodex.lattice import gb_lattice, min_l1
@@ -168,8 +167,7 @@ class TestFamilies:
         for t in range(1, 7):
             spec = optimized_kitaev_spec(t)
             assert dimension_formula(spec) == 2
-            norm = shift_normalize(spec)
-            assert weight2_exponents(norm) is not None
+            assert weight2_exponents(spec) is not None
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

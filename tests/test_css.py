@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -99,7 +101,7 @@ class TestExhaustiveDistance:
     def test_cap_enforced(self):
         code = gb("1+x", "1+x^7", 30)
         with pytest.raises(ValueError, match="kernel too large"):
-            css.exhaustive_distance(code, "X", cap=26)
+            css.exhaustive_distance(code, "X")
 
     def test_witness_is_minimal_logical(self, code_10_2_3):
         weight, witness = css.min_weight_logical(code_10_2_3, "X")
@@ -116,10 +118,10 @@ class TestExhaustiveDistance:
             a = rng.getrandbits(n)
             b = rng.getrandbits(n)
             code = build(GbSpec(_from_mask(a), _from_mask(b), n))
-            got_x = css.exhaustive_distance(code, "X", cap=14)
+            got_x = css.exhaustive_distance(code, "X")
             want_x = naive_min_logical(list(code.h_x.rows), list(code.h_z.rows), code.length)
             assert got_x == want_x
-            got_z = css.exhaustive_distance(code, "Z", cap=14)
+            got_z = css.exhaustive_distance(code, "Z")
             want_z = naive_min_logical(list(code.h_z.rows), list(code.h_x.rows), code.length)
             assert got_z == want_z
             checked += 1
@@ -148,6 +150,33 @@ class TestExhaustiveDistance:
         assert (css.exhaustive_distance(code, "X"), css.exhaustive_distance(code, "Z")) == (7, 7)
         assert css.dimension(code) == 2
         assert calls == [code.h_x, code.h_z]
+
+
+class TestLogicalSpaceContract:
+    """On random orthogonal pairs up to 90 columns: the split is a basis of the kernel."""
+
+    @pytest.mark.parametrize("side", ["X", "Z"])
+    def test_random_css_pairs(self, side):
+        rng = random.Random(53)
+        for _ in range(60):
+            ncols = rng.randrange(1, 91)
+            h_z = BitMatrix(tuple(rng.getrandbits(ncols) for _ in range(rng.randrange(0, ncols))), ncols)
+            dual = gf2matrix.kernel_basis(h_z)
+            h_x_rows = tuple(
+                functools.reduce(operator.xor, (v for v in dual if rng.random() < 0.5), 0)
+                for _ in range(rng.randrange(0, 2 * len(dual) + 1))
+            )
+            code = css.new_css(BitMatrix(h_x_rows, ncols), h_z)
+            own, other = (code.h_x, code.h_z) if side == "X" else (code.h_z, code.h_x)
+
+            def rank(vectors):
+                return list_rank_gf2([[(v >> j) & 1 for j in range(ncols)] for v in vectors])
+
+            stabilizers, logicals = css.logical_space(code, side)
+            assert len(stabilizers) + len(logicals) == ncols - rank(own.rows)
+            assert all((row & v).bit_count() % 2 == 0 for row in own.rows for v in stabilizers + logicals)
+            assert rank(stabilizers) == len(stabilizers) == rank(other.rows) == rank(stabilizers + list(other.rows))
+            assert rank(stabilizers + logicals) == len(stabilizers) + len(logicals)
 
 
 def _check_side(code, side, expected):
@@ -188,7 +217,7 @@ class TestPrunedSweep:
         # identity row, shift every vector past bit 64; the kernel is the same
         code = gb("1+x", "1+x^7", 25)
         stabilizers, logicals = css.logical_space(code, "X")
-        assert len(stabilizers) + len(logicals) == css.DEFAULT_KERNEL_CAP
+        assert len(stabilizers) + len(logicals) == css.KERNEL_CAP
         p = 71
         padded = css.new_css(
             BitMatrix(tuple(1 << i for i in range(p)) + tuple(r << p for r in code.h_x.rows), p + code.length),

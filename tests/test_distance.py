@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gbcodex import css, distance, gbcode, gf2matrix
+from gbcodex import css, distance, gbcode
 from gbcodex.catalog import lattice_fields
 from gbcodex.distance import (
     determine,
@@ -150,7 +150,6 @@ class TestDetermine:
 
         monkeypatch.setattr(gbcode, "build", forbidden)
         monkeypatch.setattr(gbcode, "dimension_formula", forbidden)
-        monkeypatch.setattr(gf2matrix, "rank", forbidden)
         monkeypatch.setattr(css, "min_weight_logical", forbidden)
         monkeypatch.setattr(distance, "parity_refined_lower", forbidden)
         assert determine(22, 97).exact == 13

@@ -9,8 +9,8 @@ from gbcodex.gf2matrix import (
     kernel_basis,
     mat_mul,
     mat_vec,
-    rank,
     row_space_contains,
+    rref,
     transpose,
 )
 from gbcodex.gf2poly import BinaryPolynomial, gcd, parse_poly, x_pow_minus_one
@@ -39,7 +39,7 @@ class TestCirculant:
         # independent elimination oracle on the expanded 0/1 lists
         m = circulant(P("1+x"), 4)
         assert list_rank_gf2(bit_rows_to_lists(m)) == 3
-        assert rank(m) == 3
+        assert len(rref(m)[0]) == 3
 
     def test_first_column_is_coefficient_vector(self):
         p = P("1+x^2+x^3")
@@ -54,25 +54,53 @@ class TestCirculant:
 
 class TestRank:
     def test_identity(self):
-        assert rank(BitMatrix((1, 2, 4, 8, 16), 5)) == 5
+        assert len(rref(BitMatrix((1, 2, 4, 8, 16), 5))[0]) == 5
 
     def test_zero(self):
-        assert rank(BitMatrix((0,) * 4, 7)) == 0
+        assert len(rref(BitMatrix((0,) * 4, 7))[0]) == 0
 
     def test_circulant_example(self):
-        assert rank(circulant(P("1+x"), 6)) == 5
+        assert len(rref(circulant(P("1+x"), 6))[0]) == 5
 
     def test_matches_list_oracle(self):
         rng = random.Random(3)
         for _ in range(50):
             m = random_matrix(rng, rng.randrange(1, 8), rng.randrange(1, 8))
-            assert rank(m) == list_rank_gf2(bit_rows_to_lists(m))
+            assert len(rref(m)[0]) == list_rank_gf2(bit_rows_to_lists(m))
 
     def test_transpose_invariant(self):
         rng = random.Random(5)
         for _ in range(50):
             m = random_matrix(rng, rng.randrange(1, 9), rng.randrange(1, 9))
-            assert rank(m) == rank(transpose(m))
+            assert len(rref(m)[0]) == len(rref(transpose(m))[0])
+
+
+class TestRrefContract:
+    """The unique reduced row echelon form, on random matrices up to 140 columns."""
+
+    @staticmethod
+    def _matrices():
+        rng = random.Random(23)
+        yield from (BitMatrix((), 0), BitMatrix((), 9), BitMatrix((0, 0), 0), BitMatrix((0,), 70))
+        for _ in range(300):
+            cols = rng.choice((rng.randrange(0, 12), rng.randrange(60, 141)))
+            yield random_matrix(rng, rng.randrange(0, 25), cols)
+
+    def test_pivots_ascend_and_clear_other_rows(self):
+        for m in self._matrices():
+            rows, pivots = rref(m)
+            assert len(rows) == len(pivots) and list(pivots) == sorted(set(pivots))
+            for i, (row, p) in enumerate(zip(rows, pivots)):
+                assert row & -row == 1 << p and row >> m.cols == 0
+                assert not any((other >> p) & 1 for j, other in enumerate(rows) if j != i)
+
+    def test_spans_the_rows(self):
+        for m in self._matrices():
+            rows, _ = rref(m)
+            as_lists = [[(v >> j) & 1 for j in range(m.cols)] for v in rows + m.rows]
+            assert list_rank_gf2(as_lists) == len(rows) == list_rank_gf2(bit_rows_to_lists(m))
+            if m.num_rows <= 12:
+                assert span(list(rows)) == span(list(m.rows))
 
 
 class TestKernel:
@@ -86,7 +114,7 @@ class TestKernel:
 
     def test_gb_h_x_kernel_size(self):
         h_x = hstack(circulant(P("1+x"), 5), circulant(P("1+x^2"), 5))
-        assert rank(h_x) == 4
+        assert len(rref(h_x)[0]) == 4
         assert len(kernel_basis(h_x)) == 6
 
     def test_kernel_vectors_annihilate(self):
@@ -158,4 +186,4 @@ class TestBlocksAndProducts:
             if p.is_zero:
                 continue
             g = gcd(p, x_pow_minus_one(n))
-            assert rank(circulant(p, n)) == n - g.degree
+            assert len(rref(circulant(p, n))[0]) == n - g.degree
