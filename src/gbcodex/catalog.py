@@ -27,9 +27,9 @@ from .lattice import ceil_sqrt, gauss_reduce, gb_lattice, min_l1
 from .torus_graph import TorusGraph
 
 SCHEMA_NAME = "gb-catalog"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-CSV_COLUMNS = ["length", "k", "d", "n", "alpha", "lower", "upper", "method"]
+CSV_COLUMNS = ["length", "k", "d", "n", "alpha", "lower", "method"]
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)  # a stored value of the wrong shape
 
 
@@ -57,10 +57,9 @@ def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
 
     ``alpha`` is a root of -1 mod n and ``alphas`` every such root, which the
     caller has already found to pick alpha.  Values are in their JSON form.
-    Only the lattice is computed: k is ``CANONICAL_K``, d = upper = exact =
-    min-L1 by the argument in ``distance.determine``, and lambda2 and the
-    Euclidean bound lower = ceil(sqrt(lambda2)) come from one reduction.
-    ``hypothesis_met`` (n >= 6) only records the paper's stated hypothesis.
+    Only the lattice is computed: k is ``CANONICAL_K``, d = min-L1 by the
+    argument in ``distance.determine``, and lambda2 and the Euclidean bound
+    lower = ceil(sqrt(lambda2)) come from one reduction.
 
     The tag needs only (n, d): a class +-a/b has d = a + b, so 2n - d^2 =
     (b - a)^2 is 1 exactly for the rotated grid [[d^2 + 1, 2, d]], alpha =
@@ -77,9 +76,6 @@ def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
         "k": CANONICAL_K,
         "d": d,
         "lower": ceil_sqrt(lambda2),
-        "hypothesis_met": n >= 6,
-        "upper": d,
-        "exact": d,
         "method": "sandwich-closed",
         "lambda2": lambda2,
         "min_l1": d,

@@ -62,8 +62,8 @@ def _side_reductions(code: CssCode, side: str) -> tuple[tuple, tuple]:
 
 
 def is_logical_x(code: CssCode, v: int) -> bool:
-    """True iff v is in ker(h_x) but not in the row space of h_z."""
-    return gf2matrix.mat_vec(code.h_x, v) == 0 and not gf2matrix.row_space_contains(code.h_z, v)
+    """True iff v is in ker(h_x) but not in the row space of h_z, read off the cached ``rref`` of h_z."""
+    return gf2matrix.mat_vec(code.h_x, v) == 0 and gf2matrix.rref_reduce(*code._rref["Z"], v) != 0
 
 
 def logical_space(code: CssCode, side: str = "X") -> tuple[list[int], list[int]]:

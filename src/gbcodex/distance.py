@@ -106,10 +106,7 @@ def determine(alpha: int, n: int) -> DistanceReport:
     lower = lattice_lower_bound(alpha, n)
     upper, cert = upper_bound_certificate(alpha, n)
     if lower > upper:
-        raise RuntimeError(
-            f"lower bound {lower} exceeds certified upper {upper} "
-            f"for alpha={alpha}, n={n}; this contradicts the certificate"
-        )
+        raise RuntimeError(f"lower bound {lower} exceeds certified upper {upper} for alpha={alpha}, n={n}")
     return DistanceReport(
         n=n,
         alpha=alpha,

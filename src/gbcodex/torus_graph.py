@@ -17,8 +17,14 @@ from __future__ import annotations
 
 
 def edge_support(bits: int) -> tuple[int, ...]:
-    """The edge indices of an edge set, ascending."""
-    return tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
+    """The edge indices of an edge set, ascending, peeled off one lowest set bit at a time."""
+    if bits < 0:
+        raise ValueError("edge bits must be nonnegative")
+    indices = []
+    while bits:
+        indices.append((bits & -bits).bit_length() - 1)  # the lowest set bit
+        bits &= bits - 1
+    return tuple(indices)
 
 
 class TorusGraph:

@@ -21,7 +21,13 @@ from gbcodex.distance import determine
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
 from gbcodex.torus_graph import TorusGraph, edge_support
-from oracle_utils import gb_check_rows, graphlike_min_logical, scan_min_l1, scan_roots_of_minus_one
+from oracle_utils import (
+    gb_check_rows,
+    graphlike_min_logical,
+    list_rank_gf2,
+    scan_min_l1,
+    scan_roots_of_minus_one,
+)
 
 # Best representative per circulant size, recomputed here from first
 # principles: roots by scan, one representative per mirror pair, the pick
@@ -62,6 +68,20 @@ def test_graphlike_oracle_pins_disputed_rows(alpha, n, d):
     h_x, h_z = gb_check_rows([0, 1], [0, alpha], n)
     assert graphlike_min_logical(h_x, h_z) == d
     assert graphlike_min_logical(h_z, h_x) == d
+
+
+# The paper says [[20,2,4]], [[68,2,8]] and [[148,2,12]] surpass every known
+# weight-4 GB code at d = 4, 8 and 12.  These codes are shorter at the same d,
+# on both sides of the same library-free oracle; none is in the sweep, since
+# -1 is not a square mod 8, 32 or 72.
+@pytest.mark.parametrize("alpha,n,d,paper_n", [(3, 8, 4, 10), (7, 32, 8, 34), (11, 72, 12, 74)])
+def test_shorter_codes_than_the_papers_surpassing_ones(alpha, n, d, paper_n):
+    assert EXPECTED_200[paper_n][1] == d and n < paper_n and strongest_root(n) is None
+    report = determine(alpha, n)
+    assert (report.length, report.k, report.exact) == (2 * n, 2, d)
+    h_x, h_z = gb_check_rows([0, 1], [0, alpha], n)
+    assert 2 * n - list_rank_gf2(h_x) - list_rank_gf2(h_z) == 2
+    assert graphlike_min_logical(h_x, h_z) == d == graphlike_min_logical(h_z, h_x)
 
 
 def test_graphlike_oracle_pins_weaker_root_n65():
@@ -222,10 +242,15 @@ class TestSerialization:
         for d in records_200:
             r = determine(d["alpha"], d["n"])
             assert (d["n"], d["alpha"], d["length"], d["k"]) == (r.n, r.alpha, r.length, r.k)
-            assert d["d"] == d["upper"] == d["exact"] == d["min_l1"] == r.upper_bound == r.exact
+            assert d["d"] == d["min_l1"] == r.upper_bound == r.exact
             assert (d["lower"], d["method"]) == (r.lower_bound, r.method)
-            assert d["hypothesis_met"] == (d["n"] >= 6)
             assert d["certificate"] == list(r.certificate)
+
+    def test_each_fact_stored_once(self, records_200):
+        # d is exact, so it is not repeated as upper or exact; the lower bound needs no n >= 6 flag
+        keys = {"n", "alpha", "alphas", "length", "k", "d", "lower", "method", "certificate", "lambda2",
+                "min_l1", "basis", "t_witness", "tag"}
+        assert all(set(r) == keys for r in records_200)
 
     def test_json_file_roundtrip(self, records_200, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
@@ -234,7 +259,7 @@ class TestSerialization:
             text = f.read()
         assert text == render_json(records_200, 200, 1)
         header = json.loads(text.splitlines()[0])
-        assert header == {"schema": "gb-catalog", "version": 2, "max_length": 200, "seed": 1}
+        assert header == {"schema": "gb-catalog", "version": 3, "max_length": 200, "seed": 1}
         assert verify_catalog(path) == (22, [])
 
     def test_no_floats_persisted(self, records_200):
@@ -280,25 +305,36 @@ class TestVerify:
         write_catalog(path, sweep_catalog(60), 60, fmt="csv")
         with open(path) as f:
             rows = list(csv.DictReader(f))
-        rows[3]["d"] = rows[3]["upper"] = str(int(rows[3]["d"]) + 1)
+        rows[3]["d"] = str(int(rows[3]["d"]) + 1)
         with open(path, "w", newline="") as f:
             writer = csv.DictWriter(f, CSV_COLUMNS, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         count, problems = verify_catalog(path)
         assert count == 8
-        assert problems == ["line 5: d 6 != recomputed 5", "line 5: upper 6 != recomputed 5"]
+        assert problems == ["line 5: d 6 != recomputed 5"]
 
     def test_old_schema_version_rejected(self, tmp_path):
+        # a version-2 file: its header names version 2 and its records repeat d as upper and exact
+        records = [{**r, "upper": r["d"], "exact": r["d"], "hypothesis_met": r["n"] >= 6} for r in sweep_catalog(30)]
         path = str(tmp_path / "catalog.ndjson")
-        write_catalog(path, sweep_catalog(30), 30)
+        write_catalog(path, records, 30)
         with open(path) as f:
             lines = f.read().splitlines()
-        lines[0] = lines[0].replace('"version":2', '"version":1')
+        lines[0] = lines[0].replace('"version":3', '"version":2')
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
         count, problems = verify_catalog(path)
-        assert problems == ["line 1: unexpected schema 'gb-catalog' version 1"]
+        assert problems[0] == "line 1: unexpected schema 'gb-catalog' version 2"
+        assert problems[1:] == [f"line {i}: unexpected key {key}" for i in range(2, 6)
+                                for key in ("exact", "hypothesis_met", "upper")]
+
+    def test_old_csv_columns_rejected(self, tmp_path):
+        path = str(tmp_path / "catalog.csv")
+        with open(path, "w") as f:
+            f.write("length,k,d,n,alpha,lower,upper,method\n10,2,3,5,2,3,3,sandwich-closed\n")
+        assert verify_catalog(path) == (
+            0, ["line 1: unexpected CSV columns ['length', 'k', 'd', 'n', 'alpha', 'lower', 'upper', 'method']"])
 
     def test_tampered_certificate_detected(self, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
@@ -379,11 +415,13 @@ class TestVerify:
         ("tag", "new", 'tag "new" != recomputed "optimized-kitaev"'),
         ("basis", [[3, 2], [2, -3]], "basis [[3,2],[2,-3]] != recomputed [[2,-3],[3,2]]"),
         ("t_witness", [3, 2], "t_witness [3,2] != recomputed [-3,-2]"),
-        ("hypothesis_met", False, "hypothesis_met false != recomputed true"),
+        ("hypothesis_met", True, "unexpected key hypothesis_met"),
+        ("upper", 5, "unexpected key upper"),
+        ("exact", 5, "unexpected key exact"),
         ("lambda2", 13.0, "lambda2 13.0 != recomputed 13"),
         ("note", "x", "unexpected key note"),
         ("tag", None, "missing key tag"),
-    ], ids=["tag", "basis", "t_witness", "hypothesis_met", "float", "extra_key", "missing_key"])
+    ], ids=["tag", "basis", "t_witness", "hypothesis_met", "upper", "exact", "float", "extra_key", "missing_key"])
     def test_tampered_json_field_rejected(self, tmp_path, key, value, problem):
         path = str(tmp_path / "catalog.ndjson")
         write_catalog(path, sweep_catalog(60), 60)
@@ -426,7 +464,7 @@ class TestVerify:
         path = str(tmp_path / f"catalog.{fmt}")
         write_catalog(path, [], 10**30, fmt=fmt)
         with open(path, "a") as f:
-            f.write(json.dumps({"alpha": 5, "n": n}) + "\n" if fmt == "json" else f"{2 * n},2,0,{n},5,0,0,x\n")
+            f.write(json.dumps({"alpha": 5, "n": n}) + "\n" if fmt == "json" else f"{2 * n},2,0,{n},5,0,x\n")
         primitive_two_squares = arithmetic.primitive_two_squares
 
         def guarded(m):
@@ -530,20 +568,20 @@ class TestVerify:
     def test_csv_extra_field_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")
         with open(path, "w") as f:
-            f.write(",".join(CSV_COLUMNS) + "\n10,2,3,5,2,3,3,sandwich-closed,junk\n")
-        assert verify_catalog(path) == (1, ["line 2: expected 8 fields, got 9"])
+            f.write(",".join(CSV_COLUMNS) + "\n10,2,3,5,2,3,sandwich-closed,junk\n")
+        assert verify_catalog(path) == (1, ["line 2: expected 7 fields, got 8"])
 
     def test_csv_short_row_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")
         with open(path, "w") as f:
-            f.write(",".join(CSV_COLUMNS) + "\n10,2,3,5,2,3,3\n")
-        assert verify_catalog(path) == (1, ["line 2: expected 8 fields, got 7"])
+            f.write(",".join(CSV_COLUMNS) + "\n10,2,3,5,2,3\n")
+        assert verify_catalog(path) == (1, ["line 2: expected 7 fields, got 6"])
 
     @pytest.mark.parametrize("lineno", [1, 2], ids=["header", "record"])
     def test_csv_field_over_reader_limit_named_by_line(self, tmp_path, lineno):
         # the csv module rejects a field longer than csv.field_size_limit() (131072)
         path = str(tmp_path / "catalog.csv")
-        lines = [",".join(CSV_COLUMNS), "10,2,3,5,2,3,3,sandwich-closed"]
+        lines = [",".join(CSV_COLUMNS), "10,2,3,5,2,3,sandwich-closed"]
         lines[lineno - 1] = "10," + "9" * 200_000
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")

@@ -146,7 +146,7 @@ class TestSweepAndVerify:
         code, _, _ = run_cli(capsys, "sweep", "--max-length", "10", "--output", path, "--format", "csv")
         assert code == 0
         lines = Path(path).read_text().splitlines()
-        assert lines[0] == "length,k,d,n,alpha,lower,upper,method"
+        assert lines[0] == "length,k,d,n,alpha,lower,method"
         assert len(lines) == 3  # header + [[4,2,2]] + [[10,2,3]]
 
     def test_sweep_idempotent(self, capsys, tmp_path):
@@ -155,13 +155,14 @@ class TestSweepAndVerify:
         run_cli(capsys, "sweep", "--max-length", "40", "--output", b)
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
-    # Digests of the catalogs as first written by the min-L1 sweep; a refactor
-    # of the sweep or the writer must leave these bytes unchanged.
+    # Digests of the schema-3 catalogs: the schema-2 bytes of the min-L1 sweep
+    # without the keys upper, exact and hypothesis_met.  A refactor of the
+    # sweep or the writer must leave these bytes unchanged.
     @pytest.mark.parametrize("args,digest", [
-        (("--max-length", "1000"), "e63cb96336d28eeabe37f3c481182083905bd242627be26b5ef49124c7bf642d"),
+        (("--max-length", "1000"), "5ce432bea1968ee914b854221680dd78f2a29b2d901abb39430f1a5c2cc0cafe"),
         (("--max-length", "200", "--format", "csv"),
-         "94c6572b682a3e4b1a58ad46656d7b0d10c89fb90f14760f20984412a0faab41"),
-    ])
+         "61c6536fbb6ed89dd8e4acb404dbb3bd7218bb2cca07f82bb4467fefc4dd44c5"),
+    ], ids=["json_1000", "csv_200"])
     def test_catalog_bytes_pinned(self, capsys, tmp_path, args, digest):
         path = tmp_path / "catalog"
         code, _, _ = run_cli(capsys, "sweep", *args, "--output", str(path))
@@ -220,7 +221,7 @@ class TestSweepAndVerify:
 
     def test_verify_csv_field_over_reader_limit_exits_1(self, capsys, tmp_path):
         path = tmp_path / "cat.csv"
-        path.write_text("length,k,d,n,alpha,lower,upper,method\n10,2,3,5,2,3,3," + "x" * 200_000 + "\n")
+        path.write_text("length,k,d,n,alpha,lower,method\n10,2,3,5,2,3," + "x" * 200_000 + "\n")
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 1
         assert err.startswith("line 2: corrupt CSV (field larger than field limit")

@@ -151,6 +151,21 @@ class TestExhaustiveDistance:
         assert css.dimension(code) == 2
         assert calls == [code.h_x, code.h_z]
 
+    def test_is_logical_x_reuses_cached_reductions(self, monkeypatch):
+        # membership in the row space of h_z is read off the cached rref, not reduced per call
+        calls = []
+        rref = gf2matrix.rref
+
+        def counted(m):
+            calls.append(m)
+            return rref(m)
+
+        monkeypatch.setattr(gf2matrix, "rref", counted)
+        code = gb("1+x", "1+x^2", 5)
+        certificate = (1 << 0) | (1 << 6) | (1 << 8)
+        assert [css.is_logical_x(code, v) for v in (certificate, code.h_z.rows[0], 0)] == [True, False, False]
+        assert calls == [code.h_x, code.h_z]
+
 
 class TestLogicalSpaceContract:
     """On random orthogonal pairs up to 90 columns: the split is a basis of the kernel."""

@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 import re
 import shlex
@@ -42,3 +44,21 @@ def test_readme_commands_run(tmp_path):
         program, *args = shlex.split(line, comments=True)
         assert program == "gbcodex", line
         run_python(["-m", "gbcodex", *args], cwd=tmp_path)
+
+
+def test_readme_schema_matches_sweep_output(tmp_path):
+    # the README's header keys, record keys and CSV columns are what `gbcodex sweep` writes
+    run_python(["-m", "gbcodex", "sweep", "--max-length", "10", "--output", "c.ndjson"], cwd=tmp_path)
+    run_python(["-m", "gbcodex", "sweep", "--max-length", "10", "--format", "csv", "--output", "c.csv"], cwd=tmp_path)
+    header, *records = map(json.loads, (tmp_path / "c.ndjson").read_text().splitlines())
+    with open(tmp_path / "c.csv", newline="") as f:
+        columns = next(csv.reader(f))
+    text = " ".join(README.split())
+    header_text = re.search(r"The JSON header record is `(\{.*?\})`", text)[1]
+    assert re.findall(r'"([a-z_]+)"(?=[,:}])', header_text) == sorted(header)
+    assert f'"version": {header["version"]}' in header_text
+    record_keys = re.search(r"each code record holds `([^`]*)`", text)[1].split(", ")
+    assert records and all(sorted(r) == sorted(record_keys) for r in records)
+    assert len(record_keys) == len(set(record_keys))
+    assert re.search(r"CSV export with columns `([^`]*)`", text)[1] == ",".join(columns)
+    assert f"A CSV row must have exactly {len(columns)} fields" in text

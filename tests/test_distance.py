@@ -16,10 +16,10 @@ from oracle_utils import gb_check_rows, graphlike_min_logical, scan_lambda2, sca
 
 
 class TestLatticeBound:
-    def test_small_n_flagged(self):
-        # the bound holds below the paper's hypothesis n >= 6, which the catalog flags
+    def test_small_n_needs_no_flag(self):
+        # the bound holds below the paper's hypothesis n >= 6, so the catalog records no flag for it
         assert lattice_lower_bound(2, 5) == 3 <= determine(2, 5).exact
-        assert not lattice_fields(2, 5, [2, 3])["hypothesis_met"]
+        assert "hypothesis_met" not in lattice_fields(2, 5, [2, 3])
 
     def test_not_always_tight(self):
         assert lattice_lower_bound(5, 13) == 4

@@ -16,6 +16,14 @@ class TestFacesAndCocycles:
     def test_face_example(self):
         assert edge_support(TorusGraph(5, 2).face(0)) == (0, 2, 5, 6)
 
+    def test_edge_support_matches_bit_scan(self):
+        rng = random.Random(71)
+        values = [0] + [rng.getrandbits(w) | 1 << (w - 1) for w in (1, 63, 64, 65, 2048) for _ in range(20)]
+        for bits in values:
+            assert edge_support(bits) == tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
+        with pytest.raises(ValueError):
+            edge_support(-1)
+
     def test_faces_are_h_z_rows(self):
         for n, alpha in [(5, 2), (9, 4), (13, 5), (12, 7)]:
             g, code = graph_and_code(alpha, n)
