@@ -57,5 +57,10 @@ def sqrt_minus_one_all(n: int) -> list[int]:
     For admissible n > 2 there are 2^s of them, s the number of odd prime
     factors; n = 2 gives [1] and n = 1 gives [].
     """
-    return sorted({r for c, _ in root_classes(n) for r in (c, n - c)})
+    return class_members(n, root_classes(n))
+
+
+def class_members(n: int, classes: list[tuple[int, int]]) -> list[int]:
+    """Both members r and n - r of each class of ``root_classes(n)``, ascending, once each."""
+    return sorted({r for c, _ in classes for r in (c, n - c)})
 

@@ -3,13 +3,13 @@
 Every record is fixed by its length n.  One scan for the representations
 n = a^2 + b^2 (``arithmetic.root_classes``) gives every root of -1 mod n and
 each root class's min-L1 a + b; the largest a + b names the record's alpha
-(``strongest_root``).  ``lattice_fields(alpha, n, alphas)`` derives every
-stored field but the certificate, which comes from one ``determine`` call;
-k is the closed form ``distance.CANONICAL_K`` and the family tag is read off
-(n, d).  The sweep returns one record (a dict) per admissible n with
-2n <= max_length.  Records serialize to newline-delimited JSON or to a flat
-CSV export, with exact integers only; the JSON header records max_length and
-a seed, which is only a label.
+(``strongest_root``).  ``distance.lattice_fields(alpha, n)`` derives every
+stored field but those roots and the certificate, from one reduction of the
+lattice; the certificate is the staircase of that derivation's own witness
+``t_witness`` (``distance.upper_bound_certificate``).  The sweep returns one
+record (a dict) per admissible n with 2n <= max_length.  Records serialize
+to newline-delimited JSON or to a flat CSV export, with exact integers only;
+the JSON header records max_length and a seed, which is only a label.
 ``verify`` derives every record of either format the same way and compares
 it field by field, with no dense algebra (see ``verify_catalog``).
 """
@@ -22,8 +22,7 @@ import io
 import json
 
 from . import arithmetic
-from .distance import CANONICAL_K, determine
-from .lattice import ceil_sqrt, gauss_reduce, gb_lattice, min_l1
+from .distance import lattice_fields, upper_bound_certificate
 from .torus_graph import TorusGraph
 
 SCHEMA_NAME = "gb-catalog"
@@ -40,7 +39,7 @@ def _roots(n: int) -> tuple[list[int], int | None]:
     except ValueError:
         classes = []
     best = max(classes, key=lambda c: c[1])[0] if classes else None
-    return sorted({r for c, _ in classes for r in (c, n - c)}), best
+    return arithmetic.class_members(n, classes), best
 
 
 def strongest_root(n: int) -> int | None:
@@ -52,45 +51,14 @@ def strongest_root(n: int) -> int | None:
     return _roots(n)[1]
 
 
-def lattice_fields(alpha: int, n: int, alphas: list[int]) -> dict:
-    """Every catalog field that (alpha, n) fixes, which is all but the certificate.
-
-    ``alpha`` is a root of -1 mod n and ``alphas`` every such root, which the
-    caller has already found to pick alpha.  Values are in their JSON form.
-    Only the lattice is computed: k is ``CANONICAL_K``, d = min-L1 by the
-    argument in ``distance.determine``, and lambda2 and the Euclidean bound
-    lower = ceil(sqrt(lambda2)) come from one reduction.
-
-    The tag needs only (n, d): a class +-a/b has d = a + b, so 2n - d^2 =
-    (b - a)^2 is 1 exactly for the rotated grid [[d^2 + 1, 2, d]], alpha =
-    +-(t + 1)/t.  The square grid n = d^2 would need ab = 0, i.e. n = 1.
-    """
-    reduced = gauss_reduce(gb_lattice(alpha, n))
-    l1 = min_l1(reduced)  # reuses the reduced basis
-    d, lambda2 = l1.value, reduced.b1[0] ** 2 + reduced.b1[1] ** 2  # b1 is a shortest vector
-    return {
-        "n": n,
-        "alpha": alpha,
-        "alphas": list(alphas),
-        "length": 2 * n,
-        "k": CANONICAL_K,
-        "d": d,
-        "lower": ceil_sqrt(lambda2),
-        "method": "sandwich-closed",
-        "lambda2": lambda2,
-        "min_l1": d,
-        "basis": [list(reduced.b1), list(reduced.b2)],
-        "t_witness": list(l1.witness),
-        "tag": "optimized-kitaev" if 2 * n == d * d + 1 else "new",
-    }
-
-
 def analyze_length(n: int) -> dict | None:
-    """n's record, from one root scan and one ``determine`` call; None when n has no root."""
+    """n's record, from one root scan and one lattice reduction; None when n has no root."""
     roots, alpha = _roots(n)
     if alpha is None:
         return None
-    return {**lattice_fields(alpha, n, roots), "certificate": list(determine(alpha, n).certificate)}
+    fields = lattice_fields(alpha, n)
+    certificate = upper_bound_certificate(alpha, n, tuple(fields["t_witness"]))
+    return {**fields, "alphas": roots, "certificate": list(certificate)}
 
 
 def sweep_catalog(max_length: int) -> list[dict]:
@@ -172,7 +140,7 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
         return [f"n = {n} has no square root of -1 in [1, n - 1]"]
     if alpha != best:
         return [f"alpha {alpha} is not the strongest root of -1 mod {n} (expected {best})"]
-    fields = lattice_fields(alpha, n, roots)
+    fields = {**lattice_fields(alpha, n), "alphas": roots}
     keys = keys or [*fields, "certificate"]
     problems = [f"missing key {key}" for key in keys if key not in row]
     problems += [f"unexpected key {key}" for key in row if key not in keys]
@@ -216,12 +184,13 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     Returns (record count, problems); each problem names its line or the
     missing n.  Each record must be the only one for its n, lie within the
     JSON header's max_length, name the strongest root class, and match
-    ``lattice_fields`` field by field.  A JSON header or record must hold
-    exactly the written keys, and a record's certificate must be a weight-d
-    logical operator on the torus graph.  Every admissible n must have a row
-    up to the JSON header's max_length (for a CSV export or a rejected
-    header, up to the largest stored n).  The first gap is found and reported
-    before any row is derived, and rows past it are not derived.
+    ``distance.lattice_fields`` field by field.  A JSON header or record must
+    hold exactly the written keys, and a record's certificate must be a
+    weight-d logical operator on the torus graph.  Every admissible n must
+    have a row up to the JSON header's max_length (for a CSV export, up to
+    the largest stored n).  The first gap is found and reported before any
+    row is derived, and rows past it are not derived.  A rejected header,
+    JSON or CSV, is the only problem reported: no row is read.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -247,10 +216,10 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
                     problem = f"corrupt JSON ({getattr(exc, 'msg', exc)})"
                 if lineno > 1:
                     rows.append((lineno, record, problem))
+                elif header_problems := ([problem] if problem else _header_problems(record)):
+                    return 0, [f"line 1: {p}" for p in header_problems]
                 else:
-                    header_problems = [problem] if problem else _header_problems(record)
-                    problems.extend(f"line 1: {p}" for p in header_problems)
-                    max_length = None if header_problems else record["max_length"]
+                    max_length = record["max_length"]
         else:
             keys, render = CSV_COLUMNS, str
             lines = _csv_lines(csv.reader(f))

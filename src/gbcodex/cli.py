@@ -9,8 +9,7 @@ import argparse
 import sys
 
 from . import catalog
-from .distance import determine
-from .lattice import ceil_sqrt, gb_lattice, min_l1, shortest_norm2
+from .distance import determine, lattice_fields
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -30,8 +29,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"not canonicalized: {exc}")
     if alpha is not None:
-        lat = gb_lattice(alpha, spec.n)
-        summary += f" lambda2={shortest_norm2(lat)} minL1={min_l1(lat).value}"
+        fields = lattice_fields(alpha, spec.n)
+        summary += f" lambda2={fields['lambda2']} minL1={fields['min_l1']}"
     print(summary)
     agree = "ok" if k_rank == k_gcd else "MISMATCH"
     print(f"k-check: rank-based={k_rank} gcd-formula={k_gcd} {agree}")
@@ -55,8 +54,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     from .gbcode import canonicalize_w2
 
     alpha = canonicalize_w2(args.u, args.v, args.n)
-    lam2 = shortest_norm2(gb_lattice(alpha, args.n))
-    print(f"alpha={alpha} lower-bound={ceil_sqrt(lam2)} lambda2={lam2}")
+    fields = lattice_fields(alpha, args.n)
+    print(f"alpha={alpha} lower-bound={fields['lower']} lambda2={fields['lambda2']}")
     return 0
 
 

@@ -2,16 +2,17 @@
 
 The code (1 + x, 1 + x^alpha) over x^n - 1 is the square-grid toric code on
 Z^2 / L with L = {(x, y) : x + alpha*y = 0 mod n}, so its distance on either
-side is the least L1 norm of a nonzero vector of L (see ``determine``).  A
-report carries that value with an explicit weight-d logical operator, and
-the paper's Euclidean lower bound as ``lower_bound``.
+side is the least L1 norm of a nonzero vector of L (see ``determine``).
+``lattice_fields`` reduces L once and every bound and report reads it: a
+report carries d with the staircase of its witness as a weight-d logical
+operator, and the paper's Euclidean lower bound as ``lower_bound``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import ceil_sqrt, enumerate_short, gb_lattice, min_l1, shortest_norm2
+from .lattice import Lattice2D, ceil_sqrt, enumerate_short, gauss_reduce, gb_lattice, min_l1
 from .torus_graph import TorusGraph, edge_support
 
 # k = 2 deg gcd(1 + x, 1 + x^alpha, x^n - 1) = 2: the gcd divides 1 + x, and
@@ -42,26 +43,57 @@ class DistanceReport:
         return "sandwich-closed"
 
 
+def lattice_fields(alpha: int, n: int) -> dict:
+    """Every catalog field that (alpha, n) fixes but the roots and the certificate, in JSON form.
+
+    One Gauss reduction of L gives them all: k is ``CANONICAL_K``, d = min-L1
+    by the argument in ``determine``, and lambda2 and the Euclidean bound
+    lower = ceil(sqrt(lambda2)) come from the reduced basis, which ``min_l1``
+    reuses.  A RuntimeError means lower > d, against that argument.
+
+    The tag needs only (n, d): a class +-a/b has d = a + b, so 2n - d^2 =
+    (b - a)^2 is 1 exactly for the rotated grid [[d^2 + 1, 2, d]], alpha =
+    +-(t + 1)/t.  The square grid n = d^2 would need ab = 0, i.e. n = 1.
+    """
+    reduced = gauss_reduce(gb_lattice(alpha, n))
+    l1 = min_l1(reduced)  # reuses the reduced basis
+    d, lambda2 = l1.value, reduced.b1[0] ** 2 + reduced.b1[1] ** 2  # b1 is a shortest vector
+    lower = ceil_sqrt(lambda2)
+    if lower > d:
+        raise RuntimeError(f"lower bound {lower} exceeds certified upper {d} for alpha={alpha}, n={n}")
+    return {
+        "n": n,
+        "alpha": alpha,
+        "length": 2 * n,
+        "k": CANONICAL_K,
+        "d": d,
+        "lower": lower,
+        "method": "sandwich-closed",
+        "lambda2": lambda2,
+        "min_l1": d,
+        "basis": [list(reduced.b1), list(reduced.b2)],
+        "t_witness": list(l1.witness),
+        "tag": "optimized-kitaev" if 2 * n == d * d + 1 else "new",
+    }
+
+
 def lattice_lower_bound(alpha: int, n: int) -> int:
     """ceil(shortest Euclidean lattice length) <= d = min-L1 at every n (see ``determine``)."""
-    return ceil_sqrt(shortest_norm2(gb_lattice(alpha, n)))
+    return lattice_fields(alpha, n)["lower"]
 
 
-def upper_bound_certificate(alpha: int, n: int) -> tuple[int, int]:
-    """The staircase of a minimal-L1 lattice vector, revalidated once.
+def upper_bound_certificate(alpha: int, n: int, t: tuple[int, int]) -> tuple[int, ...]:
+    """The edge indices of the staircase of the minimal-L1 lattice vector t, revalidated once.
 
-    Returns (weight, edge bits).  The staircase closes, so it lies in ker(h_x);
-    it must also have weight min-L1 and lie outside the face span, or a
-    RuntimeError is raised.
+    The staircase closes, so it lies in ker(h_x); it must also have weight
+    |t|_1 and lie outside the face span, or a RuntimeError is raised.
     """
-    l1 = min_l1(gb_lattice(alpha, n))
     graph = TorusGraph(n, alpha)
-    bits = graph.staircase(l1.witness)
-    weight = bits.bit_count()
-    if weight != l1.value or graph.is_sum_of_faces(bits):
-        raise RuntimeError(f"staircase of {l1.witness} is not a weight-{l1.value} logical "
-                           f"for alpha={alpha}, n={n}")
-    return weight, bits
+    bits = graph.staircase(t)
+    weight = abs(t[0]) + abs(t[1])
+    if bits.bit_count() != weight or graph.is_sum_of_faces(bits):
+        raise RuntimeError(f"staircase of {t} is not a weight-{weight} logical for alpha={alpha}, n={n}")
+    return edge_support(bits)
 
 
 def parity_refined_lower(alpha: int, n: int) -> int:
@@ -75,15 +107,12 @@ def parity_refined_lower(alpha: int, n: int) -> int:
     """
     if not 1 < alpha < n - 1:
         raise ValueError("parity refinement requires 1 < alpha < n - 1")
-    lat = gb_lattice(alpha, n)
-    best = None
-    for t in enumerate_short(lat, min_l1(lat).value):
-        c = ceil_sqrt(t[0] * t[0] + t[1] * t[1])
-        if (c ^ (abs(t[0]) + abs(t[1]))) & 1:
-            c += 1
-        if best is None or c < best:
-            best = c
-    return max(ceil_sqrt(shortest_norm2(lat)), best)
+    fields = lattice_fields(alpha, n)
+    steps = []  # the witness lies in the ball, so this is never empty
+    for x, y in enumerate_short(Lattice2D(*map(tuple, fields["basis"])), fields["d"]):  # already reduced
+        c = ceil_sqrt(x * x + y * y)
+        steps.append(c + ((c ^ (abs(x) + abs(y))) & 1))  # the least count >= c with the parity of |x| + |y|
+    return max(fields["lower"], min(steps))
 
 
 def determine(alpha: int, n: int) -> DistanceReport:
@@ -103,15 +132,12 @@ def determine(alpha: int, n: int) -> DistanceReport:
     RuntimeError means the certificate failed revalidation or the bounds
     cross, either of which would contradict the argument above.
     """
-    lower = lattice_lower_bound(alpha, n)
-    upper, cert = upper_bound_certificate(alpha, n)
-    if lower > upper:
-        raise RuntimeError(f"lower bound {lower} exceeds certified upper {upper} for alpha={alpha}, n={n}")
+    fields = lattice_fields(alpha, n)
     return DistanceReport(
         n=n,
         alpha=alpha,
         k=CANONICAL_K,
-        lower_bound=lower,
-        upper_bound=upper,
-        certificate=edge_support(cert),
+        lower_bound=fields["lower"],
+        upper_bound=fields["d"],
+        certificate=upper_bound_certificate(alpha, n, tuple(fields["t_witness"])),
     )

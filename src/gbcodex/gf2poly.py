@@ -1,9 +1,9 @@
-"""Polynomial arithmetic over GF(2): sums, remainders, gcds and exponent maps.
+"""Polynomial arithmetic over GF(2): remainders, gcds, exponent maps and text form.
 
 A polynomial is stored as a bit-packed integer: bit i of ``mask`` holds the
-coefficient of x^i, and addition is XOR.  The zero polynomial has mask 0 and
-degree ``None`` (an explicit sentinel, so Euclid's loop never has to do
-arithmetic on a fake negative degree).
+coefficient of x^i, so a sum is the XOR of two masks.  The zero polynomial
+has mask 0 and degree ``None`` (an explicit sentinel, so Euclid's loop never
+has to do arithmetic on a fake negative degree).
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ class BinaryPolynomial:
         return self.mask.bit_length() - 1 if self.mask else None
 
     @property
-    def weight(self) -> int:
-        return self.mask.bit_count()
-
-    @property
     def is_zero(self) -> bool:
         return self.mask == 0
 
@@ -47,19 +43,11 @@ class BinaryPolynomial:
             mask ^= 1 << e
         return cls(mask)
 
-    def __add__(self, other: BinaryPolynomial) -> BinaryPolynomial:
-        return add(self, other)
-
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"BinaryPolynomial({format_poly(self)!r})"
-
-
-def add(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:
-    """Coefficientwise XOR."""
-    return BinaryPolynomial(p.mask ^ q.mask)
 
 
 def mod_poly(p: BinaryPolynomial, q: BinaryPolynomial) -> BinaryPolynomial:

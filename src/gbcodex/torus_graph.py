@@ -42,8 +42,8 @@ class TorusGraph:
         p %= n
         return (1 << p) | (1 << ((p + a) % n)) | (1 << (n + p)) | (1 << (n + (p + 1) % n))
 
-    def staircase(self, t: tuple[int, int], start: int = 0) -> int:
-        """Realize a lattice displacement: |t.x| unit steps then |t.y| long steps.
+    def staircase(self, t: tuple[int, int]) -> int:
+        """Realize a lattice displacement from vertex 0: |t.x| unit steps then |t.y| long steps.
 
         The target must satisfy t.x + alpha*t.y = 0 mod n so the walk closes;
         the result then lies in ker(h_x).  Weight is |t.x| + |t.y| unless the
@@ -56,7 +56,7 @@ class TorusGraph:
         if (tx + a * ty) % n != 0:
             raise ValueError("walk does not close: t.x + alpha*t.y != 0 mod n")
         bits = 0
-        v = start % n
+        v = 0
         step = 1 if tx > 0 else -1
         for _ in range(abs(tx)):
             bits ^= 1 << (v if step > 0 else (v - 1) % n)

@@ -4,12 +4,11 @@ import math
 
 import pytest
 
-from gbcodex import arithmetic, catalog, css, distance, gbcode, gf2matrix, lattice
+from gbcodex import arithmetic, catalog, cli, css, distance, gbcode, gf2matrix, lattice
 from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import (
     CSV_COLUMNS,
     analyze_length,
-    lattice_fields,
     render_csv,
     render_json,
     strongest_root,
@@ -17,7 +16,7 @@ from gbcodex.catalog import (
     verify_catalog,
     write_catalog,
 )
-from gbcodex.distance import determine
+from gbcodex.distance import determine, lattice_fields, upper_bound_certificate
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
 from gbcodex.torus_graph import TorusGraph, edge_support
@@ -105,7 +104,8 @@ def edit_record(path, n, edit):
 
 def record_at(alpha, n):
     """The self-consistent record of (alpha, n), whether or not alpha is n's strongest root."""
-    return {**lattice_fields(alpha, n, sqrt_minus_one_all(n)), "certificate": list(determine(alpha, n).certificate)}
+    certificate = list(determine(alpha, n).certificate)
+    return {**lattice_fields(alpha, n), "alphas": sqrt_minus_one_all(n), "certificate": certificate}
 
 
 @pytest.fixture(scope="module")
@@ -156,17 +156,25 @@ class TestSweep:
         assert (strongest_root(65), strongest_root(85)) == (18, 13)
         assert strongest_root(1) is None and strongest_root(3) is None
 
-    def test_one_determine_call_per_row(self, monkeypatch):
+    def test_one_certificate_per_row(self, monkeypatch):
+        # the certificate is the staircase of the row's own t_witness, revalidated once
         calls = []
 
-        def counted(alpha, n):
-            calls.append((alpha, n))
-            return determine(alpha, n)
+        def counted(alpha, n, t):
+            calls.append((alpha, n, list(t)))
+            return upper_bound_certificate(alpha, n, t)
 
-        monkeypatch.setattr(catalog, "determine", counted)
+        monkeypatch.setattr(catalog, "upper_bound_certificate", counted)
         records = sweep_catalog(200)
         assert len(calls) == len(records) == 22
-        assert sorted(calls) == sorted((r["alpha"], r["n"]) for r in records)
+        assert sorted(calls) == sorted((r["alpha"], r["n"], r["t_witness"]) for r in records)
+
+    def test_certificate_is_staircase_of_t_witness(self):
+        records = sweep_catalog(1000)
+        assert len(records) == 98
+        for r in records:
+            staircase = TorusGraph(r["n"], r["alpha"]).staircase(tuple(r["t_witness"]))
+            assert r["certificate"] == list(edge_support(staircase)), r["n"]
 
     def test_roots_sought_once_per_n(self, tmp_path, monkeypatch):
         scanned = []
@@ -187,8 +195,10 @@ class TestSweep:
         analyze_length(65)
         assert scanned == [65]
 
-    def test_one_reduction_per_lattice_fields(self, monkeypatch):
-        # min_l1 and enumerate_short reuse the reduced basis instead of reducing again
+    def test_one_reduction_per_lattice_fields(self, tmp_path, monkeypatch, capsys):
+        # min_l1 and enumerate_short reuse the reduced basis, and every caller reads lattice_fields
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(200), 200)
         reduced = []
         gauss_reduce = lattice.gauss_reduce
 
@@ -196,11 +206,22 @@ class TestSweep:
             reduced.append(lat)
             return gauss_reduce(lat)
 
+        def reductions(call, *args):
+            reduced.clear()
+            call(*args)
+            return len(reduced)
+
         monkeypatch.setattr(lattice, "gauss_reduce", counted)
-        monkeypatch.setattr(catalog, "gauss_reduce", counted)
-        fields = lattice_fields(18, 65, sqrt_minus_one_all(65))
-        assert len(reduced) == 1
+        monkeypatch.setattr(distance, "gauss_reduce", counted)
+        fields = lattice_fields(18, 65)
         assert (fields["d"], fields["basis"], fields["t_witness"]) == (11, [[4, 7], [7, -4]], [-7, 4])
+        assert reductions(lattice_fields, 18, 65) == 1
+        assert reductions(determine, 18, 65) == 1
+        assert reductions(analyze_length, 65) == 1
+        assert reductions(verify_catalog, path) == 22  # one per verified row
+        assert reductions(cli.main, ["bound", "--u", "3", "--v", "1", "--n", "10"]) == 1
+        assert reductions(cli.main, ["construct", "--a", "1+x", "--b", "1+x^5", "--n", "13"]) == 1
+        capsys.readouterr()
 
     def test_family_tags(self, records_200):
         tags = {r["n"]: r["tag"] for r in records_200}
@@ -228,7 +249,7 @@ class TestSweep:
         for n in range(2, 20001):
             alpha = strongest_root(n)
             if alpha is not None:
-                fields = lattice_fields(alpha, n, [])
+                fields = lattice_fields(alpha, n)
                 assert fields["tag"] == orbit_tag(alpha, n), n
                 # no row is a square grid: n = a^2 + b^2 = (a + b)^2 = d^2 forces ab = 0, i.e. n = 1
                 assert fields["d"] ** 2 != n, n
@@ -314,7 +335,7 @@ class TestVerify:
         assert count == 8
         assert problems == ["line 5: d 6 != recomputed 5"]
 
-    def test_old_schema_version_rejected(self, tmp_path):
+    def test_old_schema_version_rejected(self, tmp_path, monkeypatch):
         # a version-2 file: its header names version 2 and its records repeat d as upper and exact
         records = [{**r, "upper": r["d"], "exact": r["d"], "hypothesis_met": r["n"] >= 6} for r in sweep_catalog(30)]
         path = str(tmp_path / "catalog.ndjson")
@@ -324,10 +345,13 @@ class TestVerify:
         lines[0] = lines[0].replace('"version":3', '"version":2')
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
-        count, problems = verify_catalog(path)
-        assert problems[0] == "line 1: unexpected schema 'gb-catalog' version 2"
-        assert problems[1:] == [f"line {i}: unexpected key {key}" for i in range(2, 6)
-                                for key in ("exact", "hypothesis_met", "upper")]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a row was derived under a rejected header")
+
+        # the header alone says what is wrong, so no row is derived
+        monkeypatch.setattr(catalog, "lattice_fields", boom)
+        assert verify_catalog(path) == (0, ["line 1: unexpected schema 'gb-catalog' version 2"])
 
     def test_old_csv_columns_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")
@@ -372,7 +396,7 @@ class TestVerify:
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
         count, problems = verify_catalog(path)
-        assert count == len(lines) - 1 and len(problems) == 1
+        assert count == (0 if lineno == 1 else len(lines) - 1) and len(problems) == 1
         assert problems[0].startswith(f"line {lineno}: corrupt JSON (") and reason in problems[0]
 
     def test_weaker_root_json_rejected(self, tmp_path):
@@ -503,7 +527,7 @@ class TestVerify:
         lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
-        assert verify_catalog(path) == (8, [f"line 1: {problem}"])
+        assert verify_catalog(path) == (0, [f"line 1: {problem}"])
 
     def test_negative_header_max_length_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.ndjson")
@@ -536,7 +560,8 @@ class TestVerify:
 
         for module, name in [(gbcode, "build"), (gbcode, "dimension_formula"), (css, "dimension"),
                              (css, "is_logical_x"), (gf2matrix, "rref"), (gf2matrix, "transpose"),
-                             (catalog, "determine"), (distance, "determine"), (TorusGraph, "is_sum_of_faces")]:
+                             (catalog, "upper_bound_certificate"), (distance, "upper_bound_certificate"),
+                             (distance, "determine"), (TorusGraph, "is_sum_of_faces")]:
             monkeypatch.setattr(module, name, boom)
         assert verify_catalog(path) == (22, [])
 

@@ -1,11 +1,13 @@
 import random
+import re
 
 import pytest
 
 from gbcodex import css, distance, gbcode
-from gbcodex.catalog import lattice_fields
+from gbcodex.catalog import analyze_length
 from gbcodex.distance import (
     determine,
+    lattice_fields,
     lattice_lower_bound,
     parity_refined_lower,
     upper_bound_certificate,
@@ -19,7 +21,7 @@ class TestLatticeBound:
     def test_small_n_needs_no_flag(self):
         # the bound holds below the paper's hypothesis n >= 6, so the catalog records no flag for it
         assert lattice_lower_bound(2, 5) == 3 <= determine(2, 5).exact
-        assert "hypothesis_met" not in lattice_fields(2, 5, [2, 3])
+        assert "hypothesis_met" not in lattice_fields(2, 5)
 
     def test_not_always_tight(self):
         assert lattice_lower_bound(5, 13) == 4
@@ -61,26 +63,35 @@ class TestCorollaryBound:
 class TestUpperBoundCertificate:
     @pytest.mark.parametrize("alpha,n,weight", [(2, 5, 3), (31, 74, 12), (4, 17, 5)])
     def test_table_weights(self, alpha, n, weight):
-        got, bits = upper_bound_certificate(alpha, n)
-        assert got == weight == bits.bit_count()
+        edges = upper_bound_certificate(alpha, n, tuple(lattice_fields(alpha, n)["t_witness"]))
+        assert len(edges) == weight == len(set(edges))
 
     def test_certificates_validate(self):
         rng = random.Random(103)
         for _ in range(25):
             n = rng.randrange(2, 26)
             alpha = rng.randrange(1, n)
-            w, bits = upper_bound_certificate(alpha, n)
+            t = tuple(lattice_fields(alpha, n)["t_witness"])
+            edges = upper_bound_certificate(alpha, n, t)
             code = build(canonical_spec(alpha, n))
-            assert css.is_logical_x(code, bits)
-            assert bits.bit_count() == w
+            assert css.is_logical_x(code, sum(1 << i for i in edges))
+            assert len(edges) == abs(t[0]) + abs(t[1])
 
     def test_never_exceeds_min_l1(self):
         rng = random.Random(107)
         for _ in range(25):
             n = rng.randrange(2, 30)
             alpha = rng.randrange(1, n)
-            w, _ = upper_bound_certificate(alpha, n)
-            assert w == scan_min_l1(alpha, n)[0]
+            edges = upper_bound_certificate(alpha, n, tuple(lattice_fields(alpha, n)["t_witness"]))
+            assert len(edges) == scan_min_l1(alpha, n)[0]
+
+    @pytest.mark.parametrize("alpha,n,t", [(5, 10, (5, 3)), (2, 5, (10, 0)), (2, 5, (2, 4))],
+                             ids=["long_edge_repeats", "unit_edge_repeats", "sum_of_faces"])
+    def test_revalidation_rejects(self, alpha, n, t):
+        # closed walks that are no weight-|t|_1 logical: at alpha = n / 2 two long steps return,
+        # (2n, 0) runs round the cycle twice, and (2, 4) = 2 (1, 2) lies in 2L, a sum of faces
+        with pytest.raises(RuntimeError, match=re.escape(f"staircase of {t} is not a weight-{sum(map(abs, t))} ")):
+            upper_bound_certificate(alpha, n, t)
 
 
 class TestParityRefinedLower:
@@ -143,6 +154,13 @@ class TestDetermine:
 
     def test_deterministic(self):
         assert determine(12, 29) == determine(12, 29)
+
+    def test_crossed_bounds_raise_for_every_caller(self, monkeypatch):
+        # lattice_fields holds the check lower <= d, so determine and every sweep row keep it
+        monkeypatch.setattr(distance, "ceil_sqrt", lambda m: 10**6)
+        for call, args in [(lattice_fields, (18, 65)), (determine, (18, 65)), (analyze_length, (65,))]:
+            with pytest.raises(RuntimeError, match="lower bound 1000000 exceeds certified upper 11 "):
+                call(*args)
 
     def test_no_dense_algebra(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -83,15 +83,12 @@ class TestStaircase:
                 x -= n
             if (x, y) == (0, 0) or abs(x) + abs(y) >= n:
                 continue
-            bits = g.staircase((x, y), start=rng.randrange(n))
-            assert bits.bit_count() == abs(x) + abs(y)
-
-    def test_start_vertex_shifts_certificate(self):
-        g, code = graph_and_code(2, 5)
-        for start in range(5):
-            bits = g.staircase((1, 2), start=start)
-            assert bits.bit_count() == 3
-            assert css.is_logical_x(code, bits)
+            bits = g.staircase((x, y))
+            # |x| < n, so only a long edge can repeat: when (0, j) is in L for some 0 < j < |y|,
+            # as at alpha = n / 2; each repeat cancels a pair.  An L1-minimal t never repeats one.
+            repeats = any(j * alpha % n == 0 for j in range(1, abs(y)))
+            assert (bits.bit_count() == abs(x) + abs(y)) != repeats
+            assert bits.bit_count() <= abs(x) + abs(y) and (bits.bit_count() - x - y) % 2 == 0
 
 
 class TestSumOfFaces:
