@@ -81,13 +81,16 @@ def render_json(records: list[dict], max_length: int, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_csv(records: list[dict]) -> str:
+def _csv_line(fields: list) -> str:
+    """One CSV line as ``render_csv`` writes it, without its LF."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([r[c] for c in CSV_COLUMNS])
+    csv.writer(buf, lineterminator="").writerow(fields)
     return buf.getvalue()
+
+
+def render_csv(records: list[dict]) -> str:
+    lines = [CSV_COLUMNS, *([r[c] for c in CSV_COLUMNS] for r in records)]
+    return "".join(_csv_line(fields) + "\n" for fields in lines)
 
 
 def write_catalog(path: str, records: list[dict], max_length: int, seed: int = 1, fmt: str = "json") -> None:
@@ -178,6 +181,11 @@ def _csv_lines(reader):
             yield reader.line_num, fields, None
 
 
+def _body(line: str) -> str:
+    """A line without its ending, which universal newlines end with LF, CR or CRLF."""
+    return line.rstrip("\r\n")
+
+
 def verify_catalog(path: str) -> tuple[int, list[str]]:
     """Recheck every record of a written catalog.
 
@@ -191,6 +199,12 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     the largest stored n).  The first gap is found and reported before any
     row is derived, and rows past it are not derived.  A rejected header,
     JSON or CSV, is the only problem reported: no row is read.
+
+    The bytes must be the writer's: a lone LF ends every line, no line is
+    blank, each line is the writer's text of what it parses to (``_dump``
+    or ``_csv_line``), and the rows that check clean come in the writer's
+    (d, length, alpha) order.  Each of these rules is reported once, at the
+    first line that breaks it; none needs a derivation.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -198,41 +212,48 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         return 0, [f"byte {exc.start}: not UTF-8 text ({exc.reason})"]
-    problems = []
+    lines = io.StringIO(text, newline="").readlines()  # split as universal newlines, endings kept
+    form: dict[str, tuple[int, str]] = {}  # rule -> (line number, problem) at its first break
+    for lineno, line in enumerate(lines, start=1):
+        if not line.endswith("\n") or line.endswith("\r\n"):
+            form.setdefault("ending", (lineno, f"line ends in {line[len(_body(line)):]!r}, not a lone LF"))
+        if not line.strip():
+            form.setdefault("blank", (lineno, "blank line"))
     rows = []  # (line number, stored row, parse problem or None)
     max_length = None
-    with io.StringIO(text, newline=None) as f:
-        first = f.readline()
-        f.seek(0)
-        if first.lstrip().startswith("{"):
-            keys, render = None, _dump
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                record, problem = None, None
-                try:
-                    record = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
-                    problem = f"corrupt JSON ({getattr(exc, 'msg', exc)})"
-                if lineno > 1:
-                    rows.append((lineno, record, problem))
-                elif header_problems := ([problem] if problem else _header_problems(record)):
-                    return 0, [f"line 1: {p}" for p in header_problems]
-                else:
-                    max_length = record["max_length"]
-        else:
-            keys, render = CSV_COLUMNS, str
-            lines = _csv_lines(csv.reader(f))
-            _, header, problem = next(lines, (1, None, None))
-            if header != CSV_COLUMNS:
-                return 0, [f"line 1: {problem or f'unexpected CSV columns {header}'}"]
-            for lineno, fields, problem in lines:
-                if problem:
-                    rows.append((lineno, None, problem))
-                elif len(fields) == len(CSV_COLUMNS):
-                    rows.append((lineno, dict(zip(CSV_COLUMNS, fields)), None))
-                elif fields:
-                    rows.append((lineno, None, f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}"))
+    if lines and lines[0].lstrip().startswith("{"):
+        keys, render = None, _dump
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            record, problem = None, None
+            try:
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
+                problem = f"corrupt JSON ({getattr(exc, 'msg', exc)})"
+            if lineno > 1:
+                rows.append((lineno, record, problem))
+            elif header_problems := ([problem] if problem else _header_problems(record)):
+                return 0, [f"line 1: {p}" for p in header_problems]
+            else:
+                max_length = record["max_length"]
+            if not problem and _body(line) != _dump(record):
+                form.setdefault("text", (lineno, "not the writer's JSON (compact, keys sorted)"))
+    else:
+        keys, render = CSV_COLUMNS, str
+        records = _csv_lines(csv.reader(lines))
+        _, header, problem = next(records, (1, None, None))
+        if header != CSV_COLUMNS:
+            return 0, [f"line 1: {problem or f'unexpected CSV columns {header}'}"]
+        for lineno, fields, problem in [(1, header, None), *records]:
+            if fields and _body(lines[lineno - 1]) != _csv_line(fields):
+                form.setdefault("text", (lineno, "not the writer's CSV"))
+            if problem:
+                rows.append((lineno, None, problem))
+            elif lineno > 1 and len(fields) == len(CSV_COLUMNS):
+                rows.append((lineno, dict(zip(CSV_COLUMNS, fields)), None))
+            elif lineno > 1 and fields:
+                rows.append((lineno, None, f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}"))
     stored = set()
     for _, row, _ in rows:
         with contextlib.suppress(*_MALFORMED):
@@ -241,12 +262,22 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     # stop at the first gap, so the scan never runs far past the stored rows
     gap = next((n for n in range(2, top + 1) if n not in stored and arithmetic.is_admissible(n)), None)
     seen: set[int] = set()
+    found = []  # (line number, problem)
+    previous = None  # the (d, length, alpha) of the last row that checked clean
     for lineno, row, problem in rows:
         try:
-            found = [problem] if problem else _row_problems(row, keys, render, seen, max_length, gap)
+            row_problems = [problem] if problem else _row_problems(row, keys, render, seen, max_length, gap)
         except _MALFORMED as exc:
-            found = [f"malformed record ({exc})"]
-        problems.extend(f"line {lineno}: {p}" for p in found)
+            row_problems = [f"malformed record ({exc})"]
+        found.extend((lineno, p) for p in row_problems)
+        if not row_problems:
+            with contextlib.suppress(*_MALFORMED):  # a row past the gap is not derived
+                order = (int(row["d"]), int(row["length"]), int(row["alpha"]))
+                if previous is not None and order < previous:
+                    form.setdefault("order", (lineno, "row out of the writer's (d, length, alpha) order"))
+                previous = order
+    found.extend(form.values())
+    problems = [f"line {lineno}: {p}" for lineno, p in sorted(found, key=lambda f: f[0])]
     if gap is not None:
         problems.append(f"missing row for n = {gap}")
     return len(rows), problems

@@ -4,6 +4,11 @@ Bit j of a row integer is the entry in column j.  All operations are pure and
 work on copies; matrices are safe to share between threads.  One Gaussian
 elimination, ``echelon``, serves rank, kernel and row space here and the
 logical split and exhaustive search in ``css``.
+
+Costs are counted in big-int steps, each one bitwise operation on a row or
+column integer: ``echelon`` takes O(rank) steps per input row, so ``rref``
+of an r-row matrix takes O(r * rank); ``transpose`` and ``rref_kernel`` peel
+set bits and take O(nnz + cols), nnz being the set entries they read.
 """
 
 from __future__ import annotations
@@ -57,21 +62,25 @@ def echelon(rows: Iterable[int], columns: int) -> tuple[list[int], int, list[int
     Returns (pivot rows, their pivot bits OR-ed, rest): each pivot row has
     its own pivot bit, the lowest of its ``columns`` bits, which no other
     returned row has; the rest are zero on ``columns``.  Together they span
-    what ``rows`` spans.
+    what ``rows`` spans.  The pivot rows come in the order their rows were
+    met.  Each input row takes one pass over the pivots to reduce it and, if
+    it gives a pivot, one pass to clear that pivot from the other rows.
     """
-    pairs: list[tuple[int, int]] = []  # (pivot bit, row)
+    pivots: list[int] = []  # pivots[i] is the pivot bit of out[i]
+    out: list[int] = []
     rest = []
     for v in rows:
-        for p, r in pairs:
+        for p, r in zip(pivots, out):
             if v & p:
                 v ^= r
         if v & columns:
             p = v & columns & -(v & columns)
-            pairs = [(q, r ^ v if r & p else r) for q, r in pairs]
-            pairs.append((p, v))
+            out = [r ^ v if r & p else r for r in out]
+            pivots.append(p)
+            out.append(v)
         else:
             rest.append(v)
-    return [r for _, r in pairs], sum(p for p, _ in pairs), rest
+    return out, sum(pivots), rest
 
 
 def rref(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -101,18 +110,22 @@ def kernel_basis(m: BitMatrix) -> list[int]:
 
 
 def rref_kernel(rows: tuple[int, ...], pivots: tuple[int, ...], cols: int) -> list[int]:
-    """``kernel_basis`` of a cols-column matrix whose ``rref`` is (rows, pivots)."""
+    """``kernel_basis`` of a cols-column matrix whose ``rref`` is (rows, pivots).
+
+    The vector of free column j has bit j and the pivot bit of every row
+    with bit j, in order of j.  Each row's free bits are peeled once, so
+    the cost is O(nnz + cols) big-int steps.
+    """
     pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for row, p in zip(rows, pivots):
-            if (row >> free) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
+    basis = {j: 1 << j for j in range(cols) if j not in pivot_set}
+    free = sum(1 << j for j in basis)
+    for row, p in zip(rows, pivots):
+        r = row & free
+        while r:
+            low = r & -r
+            basis[low.bit_length() - 1] |= 1 << p
+            r ^= low
+    return list(basis.values())
 
 
 def row_space_contains(m: BitMatrix, v: int) -> bool:
@@ -130,13 +143,14 @@ def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def transpose(m: BitMatrix) -> BitMatrix:
-    rows = []
-    for j in range(m.cols):
-        r = 0
-        for i, row in enumerate(m.rows):
-            r |= ((row >> j) & 1) << i
-        rows.append(r)
-    return BitMatrix(tuple(rows), m.num_rows)
+    """Peels each row's set bits into the columns, O(nnz + cols) big-int steps."""
+    cols = [0] * m.cols
+    for i, row in enumerate(m.rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return BitMatrix(tuple(cols), m.num_rows)
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:

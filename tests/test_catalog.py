@@ -488,7 +488,7 @@ class TestVerify:
         path = str(tmp_path / f"catalog.{fmt}")
         write_catalog(path, [], 10**30, fmt=fmt)
         with open(path, "a") as f:
-            f.write(json.dumps({"alpha": 5, "n": n}) + "\n" if fmt == "json" else f"{2 * n},2,0,{n},5,0,x\n")
+            f.write(f'{{"alpha":5,"n":{n}}}\n' if fmt == "json" else f"{2 * n},2,0,{n},5,0,x\n")
         primitive_two_squares = arithmetic.primitive_two_squares
 
         def guarded(m):
@@ -626,6 +626,79 @@ class TestVerify:
         write_catalog(path, [], 2)
         count, problems = verify_catalog(path)
         assert (count, problems) == (0, [])
+
+
+def _spaced(line):
+    return json.dumps(json.loads(line), sort_keys=True)
+
+
+def _keys_reversed(line):
+    record = json.loads(line)
+    return json.dumps(dict(reversed(sorted(record.items()))), separators=(",", ":"))
+
+
+def _quoted(line):
+    return ",".join(f'"{field}"' for field in line.split(","))
+
+
+class TestVerifyWriterBytes:
+    """Edits of the length-200 catalog that keep every value: each is one named problem."""
+
+    ENDING = "line 1: line ends in '\\r\\n', not a lone LF"
+
+    @pytest.mark.parametrize("fmt,edit,problem", [
+        ("json", lambda ls: ls[:1] + [_spaced(line) for line in ls[1:]],
+         "line 2: not the writer's JSON (compact, keys sorted)"),
+        ("json", lambda ls: [_keys_reversed(line) for line in ls],
+         "line 1: not the writer's JSON (compact, keys sorted)"),
+        ("json", lambda ls: ls[:1] + ls[:0:-1], "line 3: row out of the writer's (d, length, alpha) order"),
+        ("json", lambda ls: ls[:5] + [""] + ls[5:], "line 6: blank line"),
+        ("json", lambda ls: [line + "\r" for line in ls], ENDING),
+        ("csv", lambda ls: ls[:1] + [_quoted(line) for line in ls[1:]], "line 2: not the writer's CSV"),
+        ("csv", lambda ls: ls[:1] + ls[:0:-1], "line 3: row out of the writer's (d, length, alpha) order"),
+        ("csv", lambda ls: ls[:5] + [""] + ls[5:], "line 6: blank line"),
+        ("csv", lambda ls: [line + "\r" for line in ls], ENDING),
+    ], ids=["json_spaced", "json_keys_reversed", "json_rows_reversed", "json_blank_line", "json_crlf",
+            "csv_quoted", "csv_rows_reversed", "csv_blank_line", "csv_crlf"])
+    def test_one_named_problem(self, tmp_path, fmt, edit, problem):
+        path = str(tmp_path / f"catalog.{fmt}")
+        write_catalog(path, sweep_catalog(200), 200, fmt=fmt)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        with open(path, "w", newline="") as f:
+            f.write("\n".join(edit(lines)) + "\n")
+        assert verify_catalog(path) == (22, [problem])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_missing_final_newline(self, tmp_path, fmt):
+        path = str(tmp_path / f"catalog.{fmt}")
+        write_catalog(path, sweep_catalog(60), 60, fmt=fmt)
+        with open(path) as f:
+            text = f.read()
+        with open(path, "w") as f:
+            f.write(text[:-1])
+        assert verify_catalog(path) == (8, ["line 9: line ends in '', not a lone LF"])
+
+    def test_each_rule_reported_at_its_first_break(self, tmp_path):
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(60), 60)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        lines[3], lines[6] = _spaced(lines[3]), _spaced(lines[6])
+        with open(path, "w", newline="") as f:
+            f.write("\r\n".join(lines[:5]) + "\n\n" + "\n".join(lines[5:]) + "\n\n")
+        assert verify_catalog(path) == (8, [
+            "line 1: line ends in '\\r\\n', not a lone LF",
+            "line 4: not the writer's JSON (compact, keys sorted)",
+            "line 6: blank line",
+        ])
+
+    def test_order_checked_on_clean_rows_only(self, tmp_path):
+        # a raised d is that row's one problem; its neighbours still sort in order
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(60), 60)
+        assert edit_record(path, 13, lambda r: r.update(d=9)) == 5
+        assert verify_catalog(path) == (8, ["line 5: d 9 != recomputed 5"])
 
 
 class TestCertificatesRecheck:

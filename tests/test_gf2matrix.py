@@ -5,15 +5,18 @@ import pytest
 from gbcodex.gf2matrix import (
     BitMatrix,
     circulant,
+    echelon,
     hstack,
     kernel_basis,
     mat_mul,
     mat_vec,
     row_space_contains,
     rref,
+    rref_kernel,
     transpose,
 )
 from gbcodex.gf2poly import BinaryPolynomial, gcd, parse_poly, x_pow_minus_one
+from gbcodex.torus_graph import TorusGraph
 from oracle_utils import bit_rows_to_lists, list_rank_gf2, schoolbook_mul_mod, span
 
 
@@ -23,6 +26,47 @@ def P(text):
 
 def random_matrix(rng, rows, cols):
     return BitMatrix(tuple(rng.getrandbits(cols) for _ in range(rows)), cols)
+
+
+def sparse_matrix(rng, rows, cols, per_row):
+    """Each row has at most per_row set bits, at random columns."""
+    picks = [rng.sample(range(cols), min(per_row, cols)) for _ in range(rows)]
+    return BitMatrix(tuple(sum(1 << j for j in set(pick)) for pick in picks), cols)
+
+
+# The elimination and kernel as the dense layer first wrote them: a list of
+# (pivot, row) tuples rebuilt per pivot, and a scan of every free column
+# against every row.  The library's leaner versions must give the same
+# output, bit for bit and in the same order.
+
+def reference_echelon(rows, columns):
+    pairs: list[tuple[int, int]] = []  # (pivot bit, row)
+    rest = []
+    for v in rows:
+        for p, r in pairs:
+            if v & p:
+                v ^= r
+        if v & columns:
+            p = v & columns & -(v & columns)
+            pairs = [(q, r ^ v if r & p else r) for q, r in pairs]
+            pairs.append((p, v))
+        else:
+            rest.append(v)
+    return [r for _, r in pairs], sum(p for p, _ in pairs), rest
+
+
+def reference_rref_kernel(rows, pivots, cols):
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = 1 << free
+        for row, p in zip(rows, pivots):
+            if (row >> free) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return basis
 
 
 class TestCirculant:
@@ -187,3 +231,97 @@ class TestBlocksAndProducts:
                 continue
             g = gcd(p, x_pow_minus_one(n))
             assert len(rref(circulant(p, n))[0]) == n - g.degree
+
+
+class TestEchelonMatchesReference:
+    """``echelon`` returns exactly ``reference_echelon``'s (rows, pivots, rest)."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(29)
+        yield [], 0
+        yield [], 0b1011
+        yield [0, 0, 0], 0b111
+        yield [5, 5, 3, 5, 6, 0, 3], 0b111
+        for _ in range(400):
+            width = rng.randrange(1, 90)
+            rows = [rng.getrandbits(width) for _ in range(rng.randrange(0, 30))]
+            rows += [0] * rng.randrange(0, 3) + rng.sample(rows, min(len(rows), rng.randrange(0, 4)))
+            rng.shuffle(rows)
+            lo, hi = sorted(rng.randrange(0, width + 1) for _ in range(2))
+            yield rows, (1 << width) - 1  # every column
+            yield rows, ((1 << hi) - 1) & ~((1 << lo) - 1)  # low and high bits excluded
+            yield rows, rng.getrandbits(width)  # any column set
+
+    def test_random_rows_and_column_masks(self):
+        for rows, columns in self._cases():
+            assert echelon(rows, columns) == reference_echelon(rows, columns)
+
+    def test_tag_bits_above_columns(self):
+        # as css tags logical generator i with bit ncols + i, outside ``columns``
+        rng = random.Random(31)
+        for _ in range(200):
+            ncols, tags = rng.randrange(1, 60), rng.randrange(0, 12)
+            rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(0, 30))]
+            rows += [rng.getrandbits(ncols) | 1 << (ncols + i) for i in range(tags)]
+            rng.shuffle(rows)
+            mask = (1 << ncols) - 1
+            g1, pivots, rest = echelon(rows, mask)
+            assert (g1, pivots, rest) == reference_echelon(rows, mask)
+            assert echelon(g1, mask & ~pivots) == reference_echelon(g1, mask & ~pivots)
+
+    def test_rref_of_every_face_matrix_up_to_n40(self):
+        for n in range(2, 41):
+            for alpha in range(1, n):
+                g = TorusGraph(n, alpha)
+                m = BitMatrix(tuple(g.face(p) for p in range(n)), 2 * n)
+                full = (1 << m.cols) - 1
+                assert echelon(m.rows, full) == reference_echelon(m.rows, full)
+                rows = tuple(sorted(reference_echelon(m.rows, full)[0], key=lambda r: r & -r))
+                assert rref(m) == (rows, tuple((r & -r).bit_length() - 1 for r in rows))
+
+
+class TestTransposeEntrywise:
+    def test_empty_shapes(self):
+        assert transpose(BitMatrix((), 0)) == BitMatrix((), 0)
+        assert transpose(BitMatrix((), 5)) == BitMatrix((0,) * 5, 0)
+        assert transpose(BitMatrix((0, 0, 0), 0)) == BitMatrix((), 3)
+
+    def test_random_sparse_and_dense(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            rows, cols = rng.randrange(0, 40), rng.randrange(0, 40)
+            for m in (random_matrix(rng, rows, cols), sparse_matrix(rng, rows, cols, rng.randrange(0, 4))):
+                t = transpose(m)
+                assert (t.num_rows, t.cols) == (cols, rows)
+                assert all((t.rows[j] >> i) & 1 == (m.rows[i] >> j) & 1
+                           for i in range(rows) for j in range(cols))
+
+
+class TestRrefKernelBruteForce:
+    """``rref_kernel`` against every vector of GF(2)^cols, for cols <= 12."""
+
+    @staticmethod
+    def _matrices():
+        rng = random.Random(41)
+        yield BitMatrix((), 0)
+        yield BitMatrix((), 6)
+        yield BitMatrix((0, 0), 4)
+        for _ in range(150):
+            rows, cols = rng.randrange(0, 14), rng.randrange(0, 13)
+            yield random_matrix(rng, rows, cols)
+            yield sparse_matrix(rng, rows, cols, 2)
+
+    def test_kernel_size_annihilation_and_span(self):
+        for m in self._matrices():
+            rows, pivots = rref(m)
+            basis = rref_kernel(rows, pivots, m.cols)
+            kernel = {v for v in range(1 << m.cols) if mat_vec(m, v) == 0}
+            assert len(kernel) == 2 ** (m.cols - len(rows))
+            assert all(mat_vec(m, v) == 0 for v in basis)
+            assert span(basis) == kernel and len(basis) == m.cols - len(rows)
+
+    def test_same_vectors_in_same_order_as_reference(self):
+        for m in self._matrices():
+            rows, pivots = rref(m)
+            assert rref_kernel(rows, pivots, m.cols) == reference_rref_kernel(rows, pivots, m.cols)
