@@ -23,7 +23,7 @@ import json
 
 from . import arithmetic
 from .distance import lattice_fields, upper_bound_certificate
-from .torus_graph import TorusGraph
+from .torus_graph import TorusGraph, edge_support
 
 SCHEMA_NAME = "gb-catalog"
 SCHEMA_VERSION = 3
@@ -104,8 +104,13 @@ def write_catalog(path: str, records: list[dict], max_length: int, seed: int = 1
         f.write(text)
 
 
-def _certificate_problems(cert: list, alpha: int, n: int, d: int) -> list[str]:
-    """d distinct integer edges, sorted within [0, 2n), that form a logical operator."""
+def _certificate_problems(cert: list, alpha: int, n: int, d: int, t: tuple[int, int]) -> list[str]:
+    """d distinct integer edges, sorted within [0, 2n): the staircase of t, a logical operator.
+
+    t is the recomputed witness, so two verified catalogs of one length
+    carry the same certificates.  A stored edge set that is not the
+    staircase is named as not logical when it is not.
+    """
     if any(type(i) is not int for i in cert):
         return ["certificate indices are not all integers"]
     if cert != sorted(cert) or (cert and not 0 <= cert[0] <= cert[-1] < 2 * n):
@@ -115,7 +120,12 @@ def _certificate_problems(cert: list, alpha: int, n: int, d: int) -> list[str]:
     problems = []
     if len(cert) != d:
         problems.append(f"certificate weight {len(cert)} != d {d}")
-    if not TorusGraph(n, alpha).is_logical(sum(1 << i for i in cert)):
+    graph = TorusGraph(n, alpha)
+    bits = graph.staircase(t)
+    if cert != list(edge_support(bits)):
+        problems.append(f"certificate is not the staircase of t_witness {list(t)}"
+                        if graph.is_logical(sum(1 << i for i in cert)) else "certificate is not a logical operator")
+    elif not graph.is_logical(bits):
         problems.append("certificate is not a logical operator")
     return problems
 
@@ -150,7 +160,7 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
     problems += [f"{key} {render(row[key])} != recomputed {render(value)}"
                  for key, value in fields.items() if key in row and render(row[key]) != render(value)]
     if "certificate" in row:
-        problems += _certificate_problems(row["certificate"], alpha, n, fields["d"])
+        problems += _certificate_problems(row["certificate"], alpha, n, fields["d"], tuple(fields["t_witness"]))
     return problems
 
 
@@ -193,8 +203,9 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     missing n.  Each record must be the only one for its n, lie within the
     JSON header's max_length, name the strongest root class, and match
     ``distance.lattice_fields`` field by field.  A JSON header or record must
-    hold exactly the written keys, and a record's certificate must be a
-    weight-d logical operator on the torus graph.  Every admissible n must
+    hold exactly the written keys, and a record's certificate must be the
+    edges of the staircase of the recomputed ``t_witness``, a weight-d
+    logical operator on the torus graph.  Every admissible n must
     have a row up to the JSON header's max_length (for a CSV export, up to
     the largest stored n).  The first gap is found and reported before any
     row is derived, and rows past it are not derived.  A rejected header,

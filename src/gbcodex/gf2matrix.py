@@ -6,9 +6,12 @@ elimination, ``echelon``, serves rank, kernel and row space here and the
 logical split and exhaustive search in ``css``.
 
 Costs are counted in big-int steps, each one bitwise operation on a row or
-column integer: ``echelon`` takes O(rank) steps per input row, so ``rref``
-of an r-row matrix takes O(r * rank); ``transpose`` and ``rref_kernel`` peel
-set bits and take O(nnz + cols), nnz being the set entries they read.
+column integer: ``echelon`` reduces a row v in O(|v & pivots|) steps, one
+per pivot that v holds, plus O(rank) for each new pivot it clears from the
+other rows.  That back-substitution keeps ``rref`` of an r-row matrix at
+O(r * rank) steps, cubic in n for an n x 2n face matrix, however sparse the
+rows.  ``transpose`` and ``rref_kernel`` peel set bits and take
+O(nnz + cols), nnz being the set entries they read.
 """
 
 from __future__ import annotations
@@ -63,24 +66,30 @@ def echelon(rows: Iterable[int], columns: int) -> tuple[list[int], int, list[int
     its own pivot bit, the lowest of its ``columns`` bits, which no other
     returned row has; the rest are zero on ``columns``.  Together they span
     what ``rows`` spans.  The pivot rows come in the order their rows were
-    met.  Each input row takes one pass over the pivots to reduce it and, if
-    it gives a pivot, one pass to clear that pivot from the other rows.
+    met.  Each pivot bit lives in one returned row only, so adding that
+    row clears it from v and sets no other pivot bit: v is reduced by the
+    rows of the pivots in v & held alone, O(|v & pivots|) steps.  A row
+    that gives a pivot then takes O(rank) steps to clear it from the others.
     """
-    pivots: list[int] = []  # pivots[i] is the pivot bit of out[i]
     out: list[int] = []
+    at: dict[int, int] = {}  # at[p] is the position in out of the row with pivot bit p
+    held = 0  # the OR of the pivot bits
     rest = []
     for v in rows:
-        for p, r in zip(pivots, out):
-            if v & p:
-                v ^= r
+        hit = v & held
+        while hit:
+            low = hit & -hit
+            v ^= out[at[low]]
+            hit ^= low
         if v & columns:
             p = v & columns & -(v & columns)
             out = [r ^ v if r & p else r for r in out]
-            pivots.append(p)
+            at[p] = len(out)
             out.append(v)
+            held |= p
         else:
             rest.append(v)
-    return out, sum(pivots), rest
+    return out, held, rest
 
 
 def rref(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:

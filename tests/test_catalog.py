@@ -590,6 +590,20 @@ class TestVerify:
         count, problems = verify_catalog(path)
         assert problems == [f"line {lineno}: certificate is not a logical operator"]
 
+    def test_other_minimal_logical_rejected(self, tmp_path):
+        # the staircase of -t_witness is a weight-d logical too, but not the writer's certificate
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(200), 200)
+
+        def negated_staircase(record):
+            assert (record["alpha"], record["t_witness"]) == (5, [-5, 1])
+            assert record["certificate"] == [21, 22, 23, 24, 25, 47]
+            record["certificate"] = [0, 1, 2, 3, 4, 26]
+            assert TorusGraph(26, 5).is_logical(sum(1 << i for i in record["certificate"]))
+
+        lineno = edit_record(path, 26, negated_staircase)
+        assert verify_catalog(path) == (22, [f"line {lineno}: certificate is not the staircase of t_witness [-5, 1]"])
+
     def test_csv_extra_field_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")
         with open(path, "w") as f:

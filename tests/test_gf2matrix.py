@@ -280,6 +280,23 @@ class TestEchelonMatchesReference:
                 rows = tuple(sorted(reference_echelon(m.rows, full)[0], key=lambda r: r & -r))
                 assert rref(m) == (rows, tuple((r & -r).bit_length() - 1 for r in rows))
 
+    @pytest.mark.parametrize("n", [101, 257, 509])
+    def test_large_face_matrices(self, n):
+        # rank n - 1; in face order each row meets one pivot at most, and
+        # shuffled up to two, so the reduction must add every row it hits
+        rng = random.Random(n)
+        for alpha in (1, n - 1, n // 2, rng.randrange(2, n - 1)):
+            g = TorusGraph(n, alpha)
+            faces = [g.face(p) for p in range(n)]
+            shuffled = rng.sample(faces, n)
+            for m in (BitMatrix(tuple(faces), 2 * n), BitMatrix(tuple(shuffled), 2 * n)):
+                full = (1 << m.cols) - 1
+                expected = reference_echelon(m.rows, full)
+                assert echelon(m.rows, full) == expected
+                assert len(expected[0]) == n - 1 and expected[2] == [0]
+                rows = tuple(sorted(expected[0], key=lambda r: r & -r))
+                assert rref(m) == (rows, tuple((r & -r).bit_length() - 1 for r in rows))
+
 
 class TestTransposeEntrywise:
     def test_empty_shapes(self):

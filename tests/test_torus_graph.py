@@ -150,6 +150,22 @@ class TestEdgeBitChecks:
                     seen.add(g.is_logical(v))
         assert seen == {True, False}
 
+    def test_sum_of_faces_is_not_logical_on_every_staircase(self):
+        # a staircase closes, so it is a sum of faces exactly when it is not a logical:
+        # the dense membership test and the O(n) check decide the same thing
+        seen = set()
+        for alpha, n in all_pairs(20):
+            g = TorusGraph(n, alpha)
+            for ty in range(-n, n + 1):
+                for tx in range(-n, n + 1):
+                    if (tx + alpha * ty) % n or (tx, ty) == (0, 0):
+                        continue
+                    bits = g.staircase((tx, ty))
+                    if bits:
+                        assert g.is_sum_of_faces(bits) == (not g.is_logical(bits)), (alpha, n, tx, ty)
+                        seen.add(g.is_logical(bits))
+        assert seen == {True, False}
+
     def test_faces_and_staircase(self):
         g = TorusGraph(10, 3)
         assert g.boundary(g.face(0)) == 0
