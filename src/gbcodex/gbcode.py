@@ -1,11 +1,10 @@
 """Generalized bicycle construction and weight-2 canonical forms.
 
 A GB code is built from two polynomials A, B modulo x^n - 1 through their
-circulants: h_x = [A | B], h_z = [B^T | A^T], where the transpose of a
-circulant is the circulant of the reciprocal polynomial p(x^-1).  Circulants
-commute, so the pair is always a valid CSS code.  For generators of weight
-two, invertible exponent substitutions and generator swaps reduce any pair to
-the canonical shape (1 + x, 1 + x^alpha, n) without changing code parameters.
+circulants: h_x = [A | B], h_z = [B^T | A^T].  Circulants commute, so the
+pair is always a valid CSS code.  For generators of weight two, invertible
+exponent substitutions and generator swaps reduce any pair to the canonical
+shape (1 + x, 1 + x^alpha, n) without changing code parameters.
 """
 
 from __future__ import annotations
@@ -58,13 +57,10 @@ def optimized_kitaev_spec(t: int) -> GbSpec:
 
 
 def build(spec: GbSpec) -> CssCode:
-    """Construct the CSS code; orthogonality is re-asserted by the validator."""
-    n = spec.n
-    h_x = gf2matrix.hstack(gf2matrix.circulant(spec.a, n), gf2matrix.circulant(spec.b, n))
-    # x^(2n-1) = x^-1 mod x^n - 1, and 2n - 1 >= 1 keeps n = 1 valid.
-    a_rev, b_rev = (gf2poly.substitute_power(p, 2 * n - 1, n) for p in (spec.a, spec.b))
-    h_z = gf2matrix.hstack(gf2matrix.circulant(b_rev, n), gf2matrix.circulant(a_rev, n))
-    return css.new_css(h_x, h_z)
+    """h_x = [A | B] and h_z = [B^T | A^T]; orthogonality is re-asserted by the validator."""
+    a, b = gf2matrix.circulant(spec.a, spec.n), gf2matrix.circulant(spec.b, spec.n)
+    h_z = gf2matrix.hstack(gf2matrix.transpose(b), gf2matrix.transpose(a))
+    return css.new_css(gf2matrix.hstack(a, b), h_z)
 
 
 def dimension_formula(spec: GbSpec) -> int:

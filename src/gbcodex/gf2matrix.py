@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .gf2poly import BinaryPolynomial
-
 
 @dataclass(frozen=True)
 class BitMatrix:
@@ -39,8 +37,11 @@ class BitMatrix:
         return len(self.rows)
 
 
-def circulant(p: BinaryPolynomial, n: int) -> BitMatrix:
+def circulant(p, n: int) -> BitMatrix:
     """n x n circulant with first column equal to the coefficient vector of p.
+
+    p is a ``gf2poly.BinaryPolynomial``; only its ``is_zero``, ``degree`` and
+    ``support()`` are read, so this module imports no polynomial code.
 
     Entry (i, j) is the coefficient of x^((i - j) mod n), so column j is the
     cyclic downward shift of column 0 by j.

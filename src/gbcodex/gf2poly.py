@@ -1,4 +1,4 @@
-"""Polynomial arithmetic over GF(2): remainders, gcds, exponent maps and text form.
+"""Polynomial arithmetic over GF(2): remainders, gcds and text form.
 
 A polynomial is stored as a bit-packed integer: bit i of ``mask`` holds the
 coefficient of x^i, so a sum is the XOR of two masks.  The zero polynomial
@@ -76,18 +76,6 @@ def x_pow_minus_one(n: int) -> BinaryPolynomial:
     if n < 1:
         raise ValueError("n must be positive")
     return BinaryPolynomial((1 << n) | 1)
-
-
-def substitute_power(p: BinaryPolynomial, k: int, n: int) -> BinaryPolynomial:
-    """p(x^k) mod x^n - 1: each exponent i maps to i*k mod n, collisions cancel."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    mask = 0
-    for e in p.support():
-        mask ^= 1 << (e * k % n)
-    return BinaryPolynomial(mask)
 
 
 def parse_poly(text: str, n: int) -> BinaryPolynomial:

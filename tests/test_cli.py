@@ -276,8 +276,8 @@ assert main(["verify", {path!r}]) == 0
 absent("gf2poly", "gf2matrix", "css", "gbcode")
 assert main(["sweep", "--max-length", "60", "--output", {path!r}]) == 0
 assert main(["distance", "--alpha", "5", "--n", "13"]) == 0
-# gf2matrix and gf2poly still load here, through TorusGraph.is_sum_of_faces in determine
-absent("css", "gbcode")
+# gf2matrix alone still loads here, through TorusGraph.is_sum_of_faces in determine
+absent("gf2poly", "css", "gbcode")
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)

@@ -11,8 +11,9 @@ from gbcodex.gbcode import (
     dimension_formula,
     weight2_exponents,
 )
-from gbcodex.gf2matrix import circulant, hstack, is_zero, mat_mul, transpose
+from gbcodex.gf2matrix import BitMatrix, is_zero, mat_mul, transpose
 from gbcodex.gf2poly import BinaryPolynomial, parse_poly
+from oracle_utils import gb_check_rows, to_masks
 
 
 def P(text):
@@ -49,8 +50,10 @@ class TestBuild:
             n = rng.randrange(1, 20)
             specs.append(GbSpec(BinaryPolynomial(rng.getrandbits(n)), BinaryPolynomial(rng.getrandbits(n)), n))
         for spec in specs:
-            a, b = circulant(spec.a, spec.n), circulant(spec.b, spec.n)
-            assert build(spec).h_z == hstack(transpose(b), transpose(a))
+            h_x, h_z = gb_check_rows(list(spec.a.support()), list(spec.b.support()), spec.n)
+            code = build(spec)
+            assert code.h_x == BitMatrix(tuple(to_masks(h_x)), 2 * spec.n)
+            assert code.h_z == BitMatrix(tuple(to_masks(h_z)), 2 * spec.n)
 
 
 class TestDimensionFormula:

@@ -8,7 +8,6 @@ from gbcodex.gf2poly import (
     gcd,
     mod_poly,
     parse_poly,
-    substitute_power,
     x_pow_minus_one,
 )
 from oracle_utils import long_divides
@@ -96,31 +95,6 @@ class TestGcd:
             rem = mod_poly(p, q)
             assert long_divides(q.mask, p.mask ^ rem.mask)
             assert rem.is_zero or rem.degree < q.degree
-
-
-class TestSubstitutePower:
-    def test_single_term(self):
-        assert substitute_power(P("1+x"), 3, 10) == P("1+x^3")
-
-    def test_collision_cancels(self):
-        assert substitute_power(P("1+x^2"), 5, 10) == P("0")
-
-    def test_exponent_map(self):
-        # 7 * 3 = 21 = 8 mod 13
-        assert substitute_power(P("1+x^7"), 3, 13) == P("1+x^8")
-
-    def test_composition(self):
-        rng = random.Random(29)
-        for _ in range(200):
-            n = rng.randrange(2, 24)
-            p = BinaryPolynomial(rng.getrandbits(n))
-            k1 = rng.randrange(1, n)
-            k2 = rng.randrange(1, n)
-            once = substitute_power(substitute_power(p, k1, n), k2, n)
-            k12 = k1 * k2 % n
-            if k12 == 0:
-                continue
-            assert once == substitute_power(p, k12, n)
 
 
 class TestTextForm:

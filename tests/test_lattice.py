@@ -162,6 +162,23 @@ class TestMinL1:
             assert got.value == want_value
             assert got.witness in want_vectors
 
+    def test_minimum_lies_among_short_combinations_of_reduced_basis(self):
+        # every L1-minimal vector is one of +-b1, +-b2, +-(b1 + b2), +-(b1 - b2)
+        # of the Gauss-reduced basis, and min_l1 returns the (L1, x, y)-least one
+        for n in range(2, 201):
+            for alpha in range(1, n):
+                red = gauss_reduce(gb_lattice(alpha, n))
+                (x1, y1), (x2, y2) = red.b1, red.b2
+                candidates = {
+                    (s * x, s * y)
+                    for x, y in ((x1, y1), (x2, y2), (x1 + x2, y1 + y2), (x1 - x2, y1 - y2))
+                    for s in (1, -1)
+                }
+                value = min(abs(x) + abs(y) for x, y in candidates)
+                attaining = sorted(v for v in candidates if abs(v[0]) + abs(v[1]) == value)
+                assert (value, attaining) == scan_min_l1(alpha, n), (alpha, n)
+                assert min_l1(red) == (value, attaining[0]), (alpha, n)
+
     def test_at_least_ceil_lambda(self):
         rng = random.Random(79)
         for _ in range(40):

@@ -166,6 +166,19 @@ class TestEdgeBitChecks:
                         seen.add(g.is_logical(bits))
         assert seen == {True, False}
 
+    def test_is_logical_reads_the_class_mod_2l(self):
+        # a closed walk's homology class is its displacement t mod 2L, so the
+        # staircase of t in L is a logical exactly when t is not in 2L
+        for n in range(2, 41):
+            for alpha in range(1, n):
+                g = TorusGraph(n, alpha)
+                for ty in range(-n, n + 1):
+                    for tx in range(-n, n + 1):
+                        if (tx + alpha * ty) % n or (tx, ty) == (0, 0):
+                            continue
+                        in_2l = tx % 2 == ty % 2 == 0 and (tx // 2 + alpha * (ty // 2)) % n == 0
+                        assert g.is_logical(g.staircase((tx, ty))) == (not in_2l), (alpha, n, tx, ty)
+
     def test_faces_and_staircase(self):
         g = TorusGraph(10, 3)
         assert g.boundary(g.face(0)) == 0
