@@ -178,19 +178,6 @@ def _header_problems(header: dict) -> list[str]:
     return problems
 
 
-def _csv_lines(reader):
-    """(line number, fields, None) per CSV row, or (line number, None, problem) for a row the reader rejects."""
-    while True:
-        try:
-            fields = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            yield reader.line_num, None, f"corrupt CSV ({exc})"
-        else:
-            yield reader.line_num, fields, None
-
-
 def _body(line: str) -> str:
     """A line without its ending, which universal newlines end with LF, CR or CRLF."""
     return line.rstrip("\r\n")
@@ -209,13 +196,15 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     have a row up to the JSON header's max_length (for a CSV export, up to
     the largest stored n).  The first gap is found and reported before any
     row is derived, and rows past it are not derived.  A rejected header,
-    JSON or CSV, is the only problem reported: no row is read.
+    JSON or CSV, or an empty file, is the only problem reported: no row is read.
 
-    The bytes must be the writer's: a lone LF ends every line, no line is
-    blank, each line is the writer's text of what it parses to (``_dump``
-    or ``_csv_line``), and the rows that check clean come in the writer's
-    (d, length, alpha) order.  Each of these rules is reported once, at the
-    first line that breaks it; none needs a derivation.
+    One pass reads the lines, in the format line 1 names: JSON if it starts
+    with ``{``, else CSV.  Each line is parsed on its own, so a quoted CSV
+    field never spans lines.  The bytes must be the writer's: a lone LF ends
+    every line, no line is blank, each line is the writer's text of what it
+    parses to (``_dump`` or ``_csv_line``), and the rows that check clean
+    come in the writer's (d, length, alpha) order.  Each of these rules is
+    reported once, at the first line that breaks it; none needs a derivation.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -224,49 +213,47 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     except UnicodeDecodeError as exc:
         return 0, [f"byte {exc.start}: not UTF-8 text ({exc.reason})"]
     lines = io.StringIO(text, newline="").readlines()  # split as universal newlines, endings kept
+    if not lines:
+        return 0, ["line 1: empty file, no header"]
+    if lines[0].lstrip().startswith("{"):
+        fmt, keys, render, dump = "JSON", None, _dump, _dump
+        wrong_text = "not the writer's JSON (compact, keys sorted)"
+    else:
+        fmt, keys, render, dump = "CSV", CSV_COLUMNS, str, _csv_line
+        wrong_text = "not the writer's CSV"
     form: dict[str, tuple[int, str]] = {}  # rule -> (line number, problem) at its first break
+    rows = []  # (line number, stored row, parse problem or None)
+    stored = set()  # the n of every row that holds a readable one
+    max_length = None
     for lineno, line in enumerate(lines, start=1):
         if not line.endswith("\n") or line.endswith("\r\n"):
             form.setdefault("ending", (lineno, f"line ends in {line[len(_body(line)):]!r}, not a lone LF"))
         if not line.strip():
             form.setdefault("blank", (lineno, "blank line"))
-    rows = []  # (line number, stored row, parse problem or None)
-    max_length = None
-    if lines and lines[0].lstrip().startswith("{"):
-        keys, render = None, _dump
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            record, problem = None, None
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
-                problem = f"corrupt JSON ({getattr(exc, 'msg', exc)})"
-            if lineno > 1:
-                rows.append((lineno, record, problem))
-            elif header_problems := ([problem] if problem else _header_problems(record)):
-                return 0, [f"line 1: {p}" for p in header_problems]
+        if lineno > 1 and not (_body(line) if keys else line.strip()):
+            continue  # a blank line holds no row, but a CSV line of spaces is a one-field row
+        row, problem = None, None
+        try:
+            row = next(csv.reader([line])) if keys else json.loads(line)
+        except (ValueError, RecursionError, csv.Error) as exc:  # also over-long JSON integers and deep nesting
+            problem = f"corrupt {fmt} ({getattr(exc, 'msg', exc)})"
+        if not problem and _body(line) != dump(row):
+            form.setdefault("text", (lineno, wrong_text))
+        if lineno == 1:
+            if keys:
+                header_problems = [problem or f"unexpected CSV columns {row}"] if row != keys else []
             else:
-                max_length = record["max_length"]
-            if not problem and _body(line) != _dump(record):
-                form.setdefault("text", (lineno, "not the writer's JSON (compact, keys sorted)"))
-    else:
-        keys, render = CSV_COLUMNS, str
-        records = _csv_lines(csv.reader(lines))
-        _, header, problem = next(records, (1, None, None))
-        if header != CSV_COLUMNS:
-            return 0, [f"line 1: {problem or f'unexpected CSV columns {header}'}"]
-        for lineno, fields, problem in [(1, header, None), *records]:
-            if fields and _body(lines[lineno - 1]) != _csv_line(fields):
-                form.setdefault("text", (lineno, "not the writer's CSV"))
-            if problem:
-                rows.append((lineno, None, problem))
-            elif lineno > 1 and len(fields) == len(CSV_COLUMNS):
-                rows.append((lineno, dict(zip(CSV_COLUMNS, fields)), None))
-            elif lineno > 1 and fields:
-                rows.append((lineno, None, f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}"))
-    stored = set()
-    for _, row, _ in rows:
+                header_problems = [problem] if problem else _header_problems(row)
+            if header_problems:
+                return 0, [f"line 1: {p}" for p in header_problems]
+            max_length = None if keys else row["max_length"]
+            continue
+        if keys and not problem:  # a CSV row becomes a dict, or its field-count problem
+            if len(row) == len(keys):
+                row = dict(zip(keys, row))
+            else:
+                row, problem = None, f"expected {len(keys)} fields, got {len(row)}"
+        rows.append((lineno, row, problem))
         with contextlib.suppress(*_MALFORMED):
             stored.add(int(row["n"]))
     top = max_length // 2 if max_length is not None else max(stored, default=0)

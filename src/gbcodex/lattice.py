@@ -134,11 +134,17 @@ class L1Minimum(NamedTuple):
 def min_l1(lat: Lattice2D) -> L1Minimum:
     """Minimum L1 norm over nonzero lattice vectors, with one witness.
 
-    The witness is the lexicographically smallest (|x|+|y|, x, y) among the
-    minimizers, so catalogs are deterministic.  The lattice is reduced once,
-    and not at all when its basis already is.
+    Let b1, b2 be Gauss-reduced: |b1| <= |b2| and 2|b1.b2| <= |b1|^2.  Then
+    |c1 b1 + c2 b2|^2 >= (c1^2 - |c1 c2| + c2^2)|b1|^2, and an L1-minimal v
+    has |v|_2 <= |v|_1 <= |b1|_1 <= sqrt(2)|b1|_2, so c1^2 - |c1 c2| + c2^2
+    <= 2.  That form never takes the value 2, so every minimal vector is one
+    of +-b1, +-b2, +-(b1 + b2), +-(b1 - b2).  The witness is the
+    lexicographically smallest (|x|+|y|, x, y) of those eight, so catalogs
+    are deterministic.  The lattice is reduced once, and not at all when its
+    basis already is.
     """
     red = _reduced(lat)
-    candidates = enumerate_short(red, _l1(red.b1))
-    best = candidates[0]  # sorted by (L1, x, y); b1 itself guarantees nonempty
+    (x1, y1), (x2, y2) = red.b1, red.b2
+    candidates = [(x1, y1), (x2, y2), (x1 + x2, y1 + y2), (x1 - x2, y1 - y2)]
+    best = min([(s * x, s * y) for x, y in candidates for s in (1, -1)], key=lambda v: (_l1(v), v[0], v[1]))
     return L1Minimum(_l1(best), best)

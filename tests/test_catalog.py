@@ -616,6 +616,18 @@ class TestVerify:
             f.write(",".join(CSV_COLUMNS) + "\n10,2,3,5,2,3\n")
         assert verify_catalog(path) == (1, ["line 2: expected 7 fields, got 6"])
 
+    @pytest.mark.parametrize("rows,expected", [
+        (['"10', '",2,3,5,2,3,sandwich-closed'],
+         (2, ["line 2: expected 7 fields, got 1", "line 2: not the writer's CSV", "line 3: expected 7 fields, got 1"])),
+        (['"10,2",3,5,2,3,sandwich-closed'], (1, ["line 2: expected 7 fields, got 6"])),
+    ], ids=["quoted_line_break", "quoted_comma"])
+    def test_csv_line_parsed_on_its_own(self, tmp_path, rows, expected):
+        # a quoted field never spans two lines, and a quoted comma splits no field
+        path = str(tmp_path / "catalog.csv")
+        with open(path, "w") as f:
+            f.write("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+        assert verify_catalog(path) == expected
+
     @pytest.mark.parametrize("lineno", [1, 2], ids=["header", "record"])
     def test_csv_field_over_reader_limit_named_by_line(self, tmp_path, lineno):
         # the csv module rejects a field longer than csv.field_size_limit() (131072)
@@ -634,6 +646,11 @@ class TestVerify:
         count, problems = verify_catalog(path)
         assert count == 0
         assert problems == ["byte 0: not UTF-8 text (invalid start byte)"]
+
+    def test_zero_byte_catalog_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.ndjson"
+        path.write_bytes(b"")
+        assert verify_catalog(str(path)) == (0, ["line 1: empty file, no header"])
 
     def test_empty_catalog_is_zero_records(self, tmp_path):
         path = str(tmp_path / "empty.ndjson")

@@ -226,6 +226,13 @@ class TestSweepAndVerify:
         assert code == 1
         assert err.startswith("line 2: corrupt CSV (field larger than field limit")
 
+    def test_verify_zero_byte_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "cat.ndjson"
+        path.write_bytes(b"")
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert err.startswith("line 1: empty file, no header\n")
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", str(tmp_path / "nope.ndjson"))
         assert code == 1

@@ -179,6 +179,16 @@ class TestMinL1:
                 assert (value, attaining) == scan_min_l1(alpha, n), (alpha, n)
                 assert min_l1(red) == (value, attaining[0]), (alpha, n)
 
+    def test_eight_candidates_match_enumeration_at_large_n(self):
+        # the enumeration over the whole min-L1 ball is the independent minimum
+        rng = random.Random(83)
+        for _ in range(3000):
+            n = rng.randrange(2, 10**40)
+            lat = gb_lattice(rng.randrange(1, n), n)
+            got = min_l1(lat)
+            ball = enumerate_short(lat, got.value)
+            assert got == (abs(ball[0][0]) + abs(ball[0][1]), ball[0]), lat
+
     def test_at_least_ceil_lambda(self):
         rng = random.Random(79)
         for _ in range(40):
