@@ -8,9 +8,9 @@ Handbook of Coding Theory, 1998; M. Grassl, 2006): it walks sums of ever
 more generators and stops once no unseen sum can beat the best logical.
 It is pure Python and stores no level of the walk: one side of the 2^26
 kernel of (1 + x, 1 + x^7) at n = 25, distance 7, takes about 5 ms
-(2-vCPU Xeon 2.0 GHz VM, Python 3.11).  The module has no elimination of its
-own: the logical split and both information sets come from
-``gf2matrix.echelon``.
+(2-vCPU Xeon 2.0 GHz VM, Python 3.11).  The first information set is the
+kernel basis read off the cached ``rref`` of the side's check matrix; the
+second is the one elimination of the search, by ``gf2matrix.echelon``.
 """
 
 from __future__ import annotations
@@ -80,14 +80,22 @@ def logical_space(code: CssCode, side: str = "X") -> tuple[list[int], list[int]]
 
 
 def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int) -> tuple[int, int]:
-    """Minimum weight over span(stabilizers) + nonzero-span(logicals).
+    """Minimum weight over span(stabilizers) + nonzero-span(logicals): (weight, witness).
 
-    Returns (weight, witness vector), by the Brouwer-Zimmermann search with
-    two information sets.  Logical generator i carries the tag bit
-    ncols + i, so an XOR of generators is a logical exactly when it is
-    above ``mask``.  G1 is the tagged basis in reduced echelon form on K
-    pivot columns; G2 is the same basis reduced again on the other columns,
-    where it has rank r2; its other K - r2 rows, the defect, are zero there.
+    Logical i carries the tag bit ncols + i; ``_search`` walks the tagged basis reduced by ``echelon``.
+    """
+    mask = (1 << ncols) - 1
+    basis = stabilizers + [v | 1 << (ncols + i) for i, v in enumerate(logicals)]
+    g1, pivots, _ = gf2matrix.echelon(basis, mask)
+    return _search(g1, mask & ~pivots, ncols)
+
+
+def _search(g1: list[int], others: int, ncols: int) -> tuple[int, int]:
+    """Brouwer-Zimmermann search with two information sets: (weight, witness).
+
+    g1 is a basis in reduced echelon form on K pivot columns, tagged so a sum
+    of rows is a logical iff it is above the column mask.  G2 is g1 reduced
+    on ``others``, with rank r2; its other K - r2 rows, the defect, are zero there.
 
     A vector that is a sum of more than w rows of G1 has more than w of G1's
     pivots set.  One that is a sum of more than w rows of G2 has at least
@@ -99,9 +107,7 @@ def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int)
     that bound reaches the best logical weight seen.
     """
     mask = (1 << ncols) - 1
-    basis = stabilizers + [v | 1 << (ncols + i) for i, v in enumerate(logicals)]
-    g1, pivots, _ = gf2matrix.echelon(basis, mask)
-    g2, _, rest = gf2matrix.echelon(g1, mask & ~pivots)
+    g2, _, rest = gf2matrix.echelon(g1, others)
     g2 += rest
     defect = len(rest)
     best, witness = ncols + 1, 0
@@ -118,7 +124,7 @@ def _min_logical_weight(stabilizers: list[int], logicals: list[int], ncols: int)
             if x > mask and (x & mask).bit_count() < best:
                 best, witness = (x & mask).bit_count(), x & mask
 
-    for w in range(1, len(basis) + 1):
+    for w in range(1, len(g1) + 1):
         walk(g1, 0, w, 0)
         if best <= w + 1 + max(0, w - defect):
             break
@@ -132,18 +138,27 @@ def min_weight_logical(code: CssCode, side: str = "X") -> tuple[int, int] | None
     """Minimum-weight logical operator on one side: (weight, witness), or None if k = 0.
 
     Searches the whole kernel of the side matrix, at worst every vector of
-    it, so the kernel dimension must not exceed ``KERNEL_CAP``.  Only the
-    weight and the witness's logicality are specified: when several logicals
-    share the minimum weight, which one is returned is an implementation
-    detail and may change.
+    it, so the kernel dimension must not exceed ``KERNEL_CAP``.  G1 is the
+    kernel basis of the side's cached ``rref``, on the free columns, each
+    vector tagged with its residue mod the other side's (``is_logical_x``).
+    Only the weight and the witness's logicality are specified: which of
+    several minimum-weight logicals is returned may change.
     """
-    stabilizers, logicals = logical_space(code, side)
-    kernel_dim = len(stabilizers) + len(logicals)
-    if kernel_dim > KERNEL_CAP:
-        raise ValueError(f"kernel too large: dimension {kernel_dim} exceeds cap {KERNEL_CAP}")
-    if not logicals:
-        return None
-    return _min_logical_weight(stabilizers, logicals, code.length)
+    (own_rows, own_pivots), (stab_rows, stab_pivots) = _side_reductions(code, side)
+    kernel = gf2matrix.rref_kernel(own_rows, own_pivots, code.length)
+    if len(kernel) > KERNEL_CAP:
+        raise ValueError(f"kernel too large: dimension {len(kernel)} exceeds cap {KERNEL_CAP}")
+    row_at = {1 << p: row for row, p in zip(stab_rows, stab_pivots)}
+    held = sum(row_at)
+    g1 = []
+    for v in kernel:
+        tag, hit = v, v & held
+        while hit:
+            tag ^= row_at[hit & -hit]
+            hit &= hit - 1
+        g1.append(v | tag << code.length)
+    others = sum(1 << p for p in own_pivots)
+    return _search(g1, others, code.length) if any(v >> code.length for v in g1) else None
 
 
 def exhaustive_distance(code: CssCode, side: str = "X") -> int | None:

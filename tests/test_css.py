@@ -203,6 +203,67 @@ def _check_side(code, side, expected):
     assert css.is_logical_x(own_code, witness)
 
 
+class TestKernelAsFirstInformationSet:
+    """min_weight_logical reads G1 off the cached rref's kernel; _min_logical_weight builds it by echelon."""
+
+    def test_one_elimination_per_side(self, monkeypatch):
+        code = gb("1+x", "1+x^7", 25)
+        code._rref  # prime both reductions, so only the search's own eliminations are counted
+        calls = {"echelon": 0, "logical_space": 0, "_min_logical_weight": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(gf2matrix, "echelon")
+        counted(css, "logical_space")
+        counted(css, "_min_logical_weight")
+        for side in ("X", "Z"):
+            assert css.min_weight_logical(code, side)[0] == 7
+        assert calls == {"echelon": 2, "logical_space": 0, "_min_logical_weight": 0}
+
+    @staticmethod
+    def _outcome(search, code, side):
+        try:
+            found = search(code, side)
+        except ValueError as exc:
+            return str(exc)
+        return found if found is None else found[0]
+
+    @staticmethod
+    def _via_logical_space(code, side):
+        """The search on the stabilizer and logical split, with min_weight_logical's cap and k = 0 rules."""
+        stabilizers, logicals = css.logical_space(code, side)
+        if len(stabilizers) + len(logicals) > css.KERNEL_CAP:
+            raise ValueError(f"kernel too large: dimension {len(stabilizers) + len(logicals)} exceeds cap {css.KERNEL_CAP}")
+        return css._min_logical_weight(stabilizers, logicals, code.length) if logicals else None
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_both_sources_agree(self, n):
+        for u in range(1, n):
+            for v in range(u + 1, n):
+                code = gb(f"1+x^{u}", f"1+x^{v}", n)
+                for side in ("X", "Z"):
+                    weight = self._outcome(self._via_logical_space, code, side)
+                    assert self._outcome(css.min_weight_logical, code, side) == weight
+                    _check_side(code, side, weight)
+
+    @pytest.mark.parametrize("a,b,n,outcome", [
+        ("1", "1", 3, None),
+        ("1+x", "1+x^7", 30, f"kernel too large: dimension 31 exceeds cap {css.KERNEL_CAP}"),
+    ], ids=["k_zero", "over_cap"])
+    def test_both_sources_agree_off_the_search(self, a, b, n, outcome):
+        code = gb(a, b, n)
+        for side in ("X", "Z"):
+            assert self._outcome(css.min_weight_logical, code, side) == outcome
+            assert self._outcome(self._via_logical_space, code, side) == outcome
+
+
 class TestPrunedSweep:
     """Kernel dimension 17..26, up to the cap: the search stops many levels before the last."""
 
