@@ -103,13 +103,11 @@ class TorusGraph:
     def is_logical(self, bits: int) -> bool:
         """True iff bits is a cycle that is not a sum of faces.
 
-        Each mask used lies in ker(h_z), so an odd overlap with it proves the
-        cycle is not a sum of faces; the two masks read a cycle's class in
-        L / 2L, so every nontrivial cycle meets one of them oddly.
+        Both masks lie in ker(h_z), as the tests pin, so an odd overlap with
+        one proves the cycle is not a sum of faces; the two masks read a
+        cycle's class in L / 2L, so every nontrivial cycle meets one oddly.
         """
-        if self.boundary(bits):
-            return False
-        return any((bits & m).bit_count() & 1 and not self.face_parities(m) for m in self.dual_logicals())
+        return not self.boundary(bits) and any((bits & m).bit_count() & 1 for m in self.dual_logicals())
 
     def is_sum_of_faces(self, bits: int) -> bool:
         """Row-space membership in h_z; faces generate exactly the X stabilizers."""

@@ -575,7 +575,7 @@ class TestVerify:
             record["certificate"] = [False, True]
 
         assert edit_record(path, 2, boolean_certificate) == 2
-        assert verify_catalog(path) == (4, ["line 2: certificate indices are not all integers"])
+        assert verify_catalog(path) == (4, ["line 2: certificate [false,true] != recomputed [0,1]"])
 
     def test_face_certificate_rejected(self, tmp_path):
         # a trivial cycle of the right weight must not pass as a logical operator
@@ -588,7 +588,7 @@ class TestVerify:
 
         lineno = edit_record(path, 10, face_certificate)
         count, problems = verify_catalog(path)
-        assert problems == [f"line {lineno}: certificate is not a logical operator"]
+        assert problems == [f"line {lineno}: certificate [0,3,10,11] != recomputed [7,8,9,17]"]
 
     def test_other_minimal_logical_rejected(self, tmp_path):
         # the staircase of -t_witness is a weight-d logical too, but not the writer's certificate
@@ -602,7 +602,65 @@ class TestVerify:
             assert TorusGraph(26, 5).is_logical(sum(1 << i for i in record["certificate"]))
 
         lineno = edit_record(path, 26, negated_staircase)
-        assert verify_catalog(path) == (22, [f"line {lineno}: certificate is not the staircase of t_witness [-5, 1]"])
+        assert verify_catalog(path) == (
+            22, [f"line {lineno}: certificate [0,1,2,3,4,26] != recomputed [21,22,23,24,25,47]"])
+
+    @pytest.mark.parametrize("edit", [
+        lambda cert: [cert[0] ^ 1, *cert[1:]],
+        lambda cert: [False, True],
+        lambda cert: [float(i) for i in cert],
+        lambda cert: [str(i) for i in cert],
+        lambda cert: None,
+        lambda cert: {"edges": cert},
+        lambda cert: cert[::-1],
+        lambda cert: [*cert, cert[-1]],
+        lambda cert: cert[:-1],
+        lambda cert: sorted({*cert, 0}),
+        lambda cert: [-1, *cert[1:]],
+        lambda cert: [*cert[:-1], 52],
+        lambda cert: [*cert[:-1], 10**30],
+        lambda cert: list(edge_support(TorusGraph(26, 5).face(0))),
+        lambda cert: list(edge_support(TorusGraph(26, 5).staircase((5, -1)))),
+    ], ids=["bit_flip", "booleans", "floats", "strings", "null", "not_a_list", "unsorted", "repeated_edge",
+            "dropped_edge", "extra_edge", "minus_one", "two_n", "ten_to_the_30", "face", "negated_witness"])
+    def test_tampered_certificate_is_one_problem(self, tmp_path, records_200, edit):
+        # the stored list is only compared with the recomputed staircase, never read as edges,
+        # so an index of 10^30 returns at once (a shift by it would raise, as a malformed record)
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, records_200, 200)
+        written = next(r["certificate"] for r in records_200 if r["n"] == 26)
+        assert written == [21, 22, 23, 24, 25, 47]
+        tampered = edit(written)
+        assert catalog._dump(tampered) != catalog._dump(written)
+
+        def tamper(record):
+            record["certificate"] = tampered
+
+        lineno = edit_record(path, 26, tamper)
+        assert verify_catalog(path) == (
+            22, [f"line {lineno}: certificate {catalog._dump(tampered)} != recomputed [21,22,23,24,25,47]"])
+
+    def test_recomputed_staircase_is_checked_on_its_own(self, tmp_path, monkeypatch):
+        # a derivation whose witness lies in 2L: its staircase has weight 2d and is a sum of
+        # faces, so a row storing exactly that derivation still fails on the torus graph
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(200), 200)
+        doubled = (-10, 2)  # 2 * t_witness of n = 26
+
+        def doubled_witness(record):
+            assert (record["alpha"], record["d"], record["t_witness"]) == (5, 6, [-5, 1])
+            record["t_witness"] = list(doubled)
+            record["certificate"] = list(edge_support(TorusGraph(26, 5).staircase(doubled)))
+
+        lineno = edit_record(path, 26, doubled_witness)
+
+        def derived(alpha, n):
+            fields = lattice_fields(alpha, n)
+            return {**fields, "t_witness": list(doubled)} if n == 26 else fields
+
+        monkeypatch.setattr(catalog, "lattice_fields", derived)
+        assert verify_catalog(path) == (
+            22, [f"line {lineno}: certificate weight 12 != d 6", f"line {lineno}: certificate is not a logical operator"])
 
     def test_csv_extra_field_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")
