@@ -9,8 +9,10 @@ more generators and stops once no unseen sum can beat the best logical.
 It is pure Python and stores no level of the walk: one side of the 2^26
 kernel of (1 + x, 1 + x^7) at n = 25, distance 7, takes about 5 ms
 (2-vCPU Xeon 2.0 GHz VM, Python 3.11).  The first information set is the
-kernel basis read off the cached ``rref`` of the side's check matrix; the
-second is the one elimination of the search, by ``gf2matrix.echelon``.
+kernel basis read off the cached ``rref`` of the side's check matrix, each
+vector tagged by ``rref_kernel`` with its residue mod the other side's.
+The second is the search's one elimination, by ``gf2matrix.echelon``,
+made only once a level of it can raise the bound.
 """
 
 from __future__ import annotations
@@ -105,11 +107,17 @@ def _search(g1: list[int], others: int, ncols: int) -> tuple[int, int]:
     (w + 1) + max(0, w' + 1 - defect).  Levels w = 1, 2, ... are walked depth
     first, G1's then G2's, each with a running XOR and nothing stored, until
     that bound reaches the best logical weight seen.
+
+    As r2 <= |others|, the defect is at least K - |others|, and no G2 level
+    w with w + 1 <= K - |others| can raise the bound: until the first level
+    past that, only G1 is walked, against the bound w + 1.  There G2 is
+    built, its one ``echelon``, and its levels 1 .. w - 1 are walked before
+    the bound is checked and its level w walked.  A search that stops
+    earlier eliminates nothing for G2.
     """
     mask = (1 << ncols) - 1
-    g2, _, rest = gf2matrix.echelon(g1, others)
-    g2 += rest
-    defect = len(rest)
+    least_defect = len(g1) - others.bit_count()  # known before G2 is built
+    g2 = None
     best, witness = ncols + 1, 0
 
     def walk(rows: list[int], start: int, depth: int, acc: int) -> None:
@@ -126,6 +134,16 @@ def _search(g1: list[int], others: int, ncols: int) -> tuple[int, int]:
 
     for w in range(1, len(g1) + 1):
         walk(g1, 0, w, 0)
+        if g2 is None:
+            if best <= w + 1:
+                break
+            if w + 1 <= least_defect:
+                continue
+            g2, _, rest = gf2matrix.echelon(g1, others)
+            g2 += rest
+            defect = len(rest)
+            for caught_up in range(1, w):
+                walk(g2, 0, caught_up, 0)
         if best <= w + 1 + max(0, w - defect):
             break
         walk(g2, 0, w, 0)
@@ -138,27 +156,37 @@ def min_weight_logical(code: CssCode, side: str = "X") -> tuple[int, int] | None
     """Minimum-weight logical operator on one side: (weight, witness), or None if k = 0.
 
     Searches the whole kernel of the side matrix, at worst every vector of
-    it, so the kernel dimension must not exceed ``KERNEL_CAP``.  G1 is the
-    kernel basis of the side's cached ``rref``, on the free columns, each
-    vector tagged with its residue mod the other side's (``is_logical_x``).
+    it, so the kernel dimension, read off the side's cached ``rref`` before
+    anything is built, must not exceed ``KERNEL_CAP``.  G1 is the kernel
+    basis of that ``rref``, each vector tagged with its residue mod the
+    other side's (``_first_information_set``).
     Only the weight and the witness's logicality are specified: which of
     several minimum-weight logicals is returned may change.
     """
+    (own_rows, _), (stab_rows, _) = _side_reductions(code, side)
+    kernel_dimension = code.length - len(own_rows)
+    if kernel_dimension > KERNEL_CAP:
+        raise ValueError(f"kernel too large: dimension {kernel_dimension} exceeds cap {KERNEL_CAP}")
+    if kernel_dimension == len(stab_rows):  # k = 0: the stabilizers span the kernel
+        return None
+    return _search(*_first_information_set(code, side), code.length)
+
+
+def _first_information_set(code: CssCode, side: str) -> tuple[list[int], int]:
+    """G1 for ``_search`` and its others, the pivot columns of the side's ``rref``.
+
+    G1 is the kernel basis of that ``rref``, on the free columns, each
+    vector v as v | residue << length, its residue being v mod the other
+    side's ``rref`` (``is_logical_x``).  The residue is linear: that of e_c
+    is e_c, or e_c + the other side's row of pivot c.  So ``rref_kernel``
+    builds each tagged vector as the XOR of its bits' tagged images.
+    """
     (own_rows, own_pivots), (stab_rows, stab_pivots) = _side_reductions(code, side)
-    kernel = gf2matrix.rref_kernel(own_rows, own_pivots, code.length)
-    if len(kernel) > KERNEL_CAP:
-        raise ValueError(f"kernel too large: dimension {len(kernel)} exceeds cap {KERNEL_CAP}")
-    row_at = {1 << p: row for row, p in zip(stab_rows, stab_pivots)}
-    held = sum(row_at)
-    g1 = []
-    for v in kernel:
-        tag, hit = v, v & held
-        while hit:
-            tag ^= row_at[hit & -hit]
-            hit &= hit - 1
-        g1.append(v | tag << code.length)
-    others = sum(1 << p for p in own_pivots)
-    return _search(g1, others, code.length) if any(v >> code.length for v in g1) else None
+    n = code.length
+    image = [(1 | 1 << n) << c for c in range(n)]  # e_c, tagged with its residue e_c ...
+    for row, p in zip(stab_rows, stab_pivots):
+        image[p] ^= row << n  # ... or e_c + that row when c is a pivot of the other side
+    return gf2matrix.rref_kernel(own_rows, own_pivots, n, image), sum(1 << p for p in own_pivots)
 
 
 def exhaustive_distance(code: CssCode, side: str = "X") -> int | None:

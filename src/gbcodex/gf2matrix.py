@@ -119,23 +119,27 @@ def kernel_basis(m: BitMatrix) -> list[int]:
     return rref_kernel(*rref(m), m.cols)
 
 
-def rref_kernel(rows: tuple[int, ...], pivots: tuple[int, ...], cols: int) -> list[int]:
-    """``kernel_basis`` of a cols-column matrix whose ``rref`` is (rows, pivots).
+def rref_kernel(rows: tuple[int, ...], pivots: tuple[int, ...], cols: int,
+                image: list[int] | None = None) -> list[int]:
+    """``kernel_basis`` of a cols-column matrix whose ``rref`` is (rows, pivots), mapped by ``image``.
 
     The vector of free column j has bit j and the pivot bit of every row
-    with bit j, in order of j.  Each row's free bits are peeled once, so
-    the cost is O(nnz + cols) big-int steps.
+    with bit j, in order of j.  Each is returned as the XOR of the images
+    of its bits, image[c] for bit c (by default the unit vector of c), so
+    a linear map of the kernel basis comes with no pass over its vectors.
+    Each row's free bits are peeled once, so the cost is O(nnz + cols)
+    big-int steps.
     """
-    pivot_set = set(pivots)
-    basis = {j: 1 << j for j in range(cols) if j not in pivot_set}
-    free = sum(1 << j for j in basis)
+    image = image or [1 << j for j in range(cols)]
+    basis = list(image)  # basis[j] is the vector of free column j, once every row is peeled
+    free = (1 << cols) - 1 - sum(1 << p for p in pivots)
     for row, p in zip(rows, pivots):
-        r = row & free
+        r, add = row & free, image[p]
         while r:
             low = r & -r
-            basis[low.bit_length() - 1] |= 1 << p
+            basis[low.bit_length() - 1] ^= add
             r ^= low
-    return list(basis.values())
+    return [basis[j] for j in range(cols) if free >> j & 1]
 
 
 def row_space_contains(m: BitMatrix, v: int) -> bool:

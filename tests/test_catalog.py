@@ -565,6 +565,23 @@ class TestVerify:
             monkeypatch.setattr(module, name, boom)
         assert verify_catalog(path) == (22, [])
 
+    def test_staircase_built_for_json_rows_only(self, tmp_path, monkeypatch):
+        # a CSV row stores no certificate, so verify builds no staircase for it
+        csv_path, json_path = str(tmp_path / "catalog.csv"), str(tmp_path / "catalog.ndjson")
+        write_catalog(csv_path, sweep_catalog(200), 200, fmt="csv")
+        write_catalog(json_path, sweep_catalog(200), 200)
+        lineno = edit_record(json_path, 26, lambda record: record.update(certificate=[0, 1, 2, 3, 4, 26]))
+        assert verify_catalog(json_path) == (
+            22, [f"line {lineno}: certificate [0,1,2,3,4,26] != recomputed [21,22,23,24,25,47]"])
+
+        def boom(*args, **kwargs):
+            raise AssertionError("staircase built for a CSV row")
+
+        monkeypatch.setattr(TorusGraph, "staircase", boom)
+        assert verify_catalog(csv_path) == (22, [])
+        with pytest.raises(AssertionError, match="staircase built"):
+            verify_catalog(json_path)
+
     def test_boolean_certificate_indices_rejected(self, tmp_path):
         # [false, true] names the same edges as [0, 1] if booleans pass as integers
         path = str(tmp_path / "catalog.ndjson")

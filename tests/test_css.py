@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import random
+import sys
 
 import pytest
 
@@ -206,10 +207,10 @@ def _check_side(code, side, expected):
 class TestKernelAsFirstInformationSet:
     """min_weight_logical reads G1 off the cached rref's kernel; _min_logical_weight builds it by echelon."""
 
-    def test_one_elimination_per_side(self, monkeypatch):
-        code = gb("1+x", "1+x^7", 25)
-        code._rref  # prime both reductions, so only the search's own eliminations are counted
-        calls = {"echelon": 0, "logical_space": 0, "_min_logical_weight": 0}
+    @staticmethod
+    def _count_calls(monkeypatch, names):
+        """Count the calls of each (module, name), from here on."""
+        calls = {name: 0 for _, name in names}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -220,12 +221,50 @@ class TestKernelAsFirstInformationSet:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(gf2matrix, "echelon")
-        counted(css, "logical_space")
-        counted(css, "_min_logical_weight")
+        for module, name in names:
+            counted(module, name)
+        return calls
+
+    def test_one_elimination_per_side(self, monkeypatch):
+        code = gb("1+x", "1+x^7", 25)
+        code._rref  # prime both reductions, so only the search's own eliminations are counted
+        calls = self._count_calls(monkeypatch, [
+            (gf2matrix, "echelon"), (css, "logical_space"), (css, "_min_logical_weight")])
         for side in ("X", "Z"):
             assert css.min_weight_logical(code, side)[0] == 7
         assert calls == {"echelon": 2, "logical_space": 0, "_min_logical_weight": 0}
+
+    def test_no_elimination_when_g1_settles_the_bound(self, monkeypatch):
+        # d = 3 is reached by G1's level 2, before a level of G2 could raise the bound
+        code = gb("1+x", "1+x^2", 5)
+        code._rref
+        calls = self._count_calls(monkeypatch, [(gf2matrix, "echelon")])
+        for side in ("X", "Z"):
+            assert css.min_weight_logical(code, side)[0] == 3
+        assert calls == {"echelon": 0}
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_tags_are_residues_mod_the_other_side(self, n):
+        for u in range(1, n):
+            for v in range(u + 1, n):
+                code = gb(f"1+x^{u}", f"1+x^{v}", n)
+                mask = (1 << code.length) - 1
+                for side, other in (("X", "Z"), ("Z", "X")):
+                    g1, others = css._first_information_set(code, side)
+                    assert [x & mask for x in g1] == gf2matrix.rref_kernel(*code._rref[side], code.length)
+                    assert [x >> code.length for x in g1] == [
+                        gf2matrix.rref_reduce(*code._rref[other], x & mask) for x in g1]
+                    assert others == sum(1 << p for p in code._rref[side][1])
+
+    def test_cap_checked_before_the_kernel_is_built(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("kernel built past the cap")
+
+        monkeypatch.setattr(gf2matrix, "rref_kernel", boom)
+        code = gb("1+x", "1+x^7", 30)
+        for side in ("X", "Z"):
+            with pytest.raises(ValueError, match=f"^kernel too large: dimension 31 exceeds cap {css.KERNEL_CAP}$"):
+                css.min_weight_logical(code, side)
 
     @staticmethod
     def _outcome(search, code, side):
@@ -397,6 +436,51 @@ class TestTwoInformationSets:
         units = [1 << i for i in range(20)]
         weight, witness = css._min_logical_weight(units[4:], units[:4], 20)
         assert weight == 1 and witness in units[:4]
+
+
+def _levels_walked(search, *args):
+    """search(*args) and the levels its walks visit in order: (1, w) for G1's level w, (2, w) for G2's."""
+    sets, walked = [], []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk" and frame.f_back.f_code is css._search.__code__:
+            rows = frame.f_locals["rows"]
+            if not any(rows is seen for seen in sets):
+                sets.append(rows)
+            walked.append((next(i for i, seen in enumerate(sets, start=1) if rows is seen), frame.f_locals["depth"]))
+
+    sys.setprofile(profile)
+    try:
+        found = search(*args)
+    finally:
+        sys.setprofile(None)
+    return found, walked
+
+
+class TestLazySecondInformationSet:
+    """G2 is built at the first level w with w + 1 > K - |others|, then walked from level 1."""
+
+    def test_g1_alone_when_g2_cannot_raise_the_bound(self):
+        # K = 6, |others| = 4: G2's level 1 could not raise the bound, and G1's level 2 reaches d = 3
+        code = gb("1+x", "1+x^2", 5)
+        for side in ("X", "Z"):
+            found, walked = _levels_walked(css.min_weight_logical, code, side)
+            assert found[0] == 3 and walked == [(1, 1), (1, 2)]
+
+    def test_catch_up_then_level_by_level(self):
+        # K = 26, |others| = 24: G2 is built after G1's level 2 and catches up on its level 1
+        code = gb("1+x", "1+x^7", 25)
+        for side in ("X", "Z"):
+            found, walked = _levels_walked(css.min_weight_logical, code, side)
+            assert found[0] == 7
+            assert walked == [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3), (1, 4)]
+
+    def test_bound_checked_after_catch_up(self):
+        # K = 2 on 4 columns, so G2 is built after G1's level 1; it has full rank on
+        # the others (defect 0), and with G1's level 1 that gives the bound 3 = d
+        stabilizers, logicals = [0b0110], [0b1101]
+        found, walked = _levels_walked(css._min_logical_weight, stabilizers, logicals, 4)
+        assert found[0] == 3 and walked == [(1, 1)]
 
 
 class TestGraphlikeOracle:
