@@ -8,8 +8,8 @@ GF(2) layer at module level.
 
 The dense layer is the checker and test oracle: ``gf2poly`` (polynomials),
 ``gf2matrix`` (bit matrices), ``css`` (rank, logical tests, exhaustive
-distance) and ``gbcode`` (circulant construction and weight-2 canonical
-forms).  Import its names from those modules.
+distance) and ``gbcode`` (circulant construction).  Import its names from
+those modules.
 """
 
 from .arithmetic import is_admissible, primitive_two_squares, sqrt_minus_one_all
@@ -21,7 +21,7 @@ from .distance import (
     parity_refined_lower,
     upper_bound_certificate,
 )
-from .lattice import Lattice2D, enumerate_short, gauss_reduce, gb_lattice, min_l1
+from .lattice import Lattice2D, enumerate_short, gauss_reduce, gb_lattice, min_l1, pair_lattice
 from .torus_graph import TorusGraph
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import catalog
-from .distance import determine, lattice_fields
+from .distance import determine, pair_fields
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -21,21 +21,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
     k_rank = css.dimension(code)
     k_gcd = gbcode.dimension_formula(spec)
     summary = f"[[{spec.length}, {k_rank}]]"
-    alpha = None
     exponents = gbcode.weight2_exponents(spec)
     if exponents is not None:
-        try:
-            alpha = gbcode.canonicalize_w2(exponents[0], exponents[1], spec.n)
-        except ValueError as exc:
-            print(f"not canonicalized: {exc}")
-    if alpha is not None:
-        fields = lattice_fields(alpha, spec.n)
+        fields = pair_fields(*exponents, spec.n)
         summary += f" lambda2={fields['lambda2']} minL1={fields['min_l1']}"
     print(summary)
     agree = "ok" if k_rank == k_gcd else "MISMATCH"
     print(f"k-check: rank-based={k_rank} gcd-formula={k_gcd} {agree}")
-    if alpha is not None:
-        print(f"canonical: alpha={alpha} n={spec.n}")
     if k_rank == 0:
         print("distance: infinite")
     return 0 if agree == "ok" else 1
@@ -51,11 +43,8 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    from .gbcode import canonicalize_w2
-
-    alpha = canonicalize_w2(args.u, args.v, args.n)
-    fields = lattice_fields(alpha, args.n)
-    print(f"alpha={alpha} lower-bound={fields['lower']} lambda2={fields['lambda2']}")
+    fields = pair_fields(args.u, args.v, args.n)
+    print(f"k={fields['k']} lower-bound={fields['lower']} lambda2={fields['lambda2']}")
     return 0
 
 

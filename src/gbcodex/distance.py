@@ -1,23 +1,21 @@
-"""Exact minimum distance of canonical weight-2 GB codes.
+"""Exact minimum distance of weight-2 GB codes.
 
-The code (1 + x, 1 + x^alpha) over x^n - 1 is the square-grid toric code on
-Z^2 / L with L = {(x, y) : x + alpha*y = 0 mod n}, so its distance on either
-side is the least L1 norm of a nonzero vector of L (see ``determine``).
-``lattice_fields`` reduces L once and every bound and report reads it: a
-report carries d with the staircase of its witness as a weight-d logical
-operator, and the paper's Euclidean lower bound as ``lower_bound``.
+The code (1 + x^u, 1 + x^v) over x^n - 1 is g = gcd(u, v, n) copies of the
+square-grid toric code on Z^2 / L with L = {(x, y) : u*x + v*y = 0 mod n}, so
+its distance on either side is the least L1 norm of a nonzero vector of L
+(see ``determine``).  ``pair_fields`` reduces L once and every bound and
+report reads it.  ``lattice_fields`` adds the catalog's fields for the
+canonical pair (1 + x, 1 + x^alpha), whose report carries d with the
+staircase of its witness as a weight-d logical operator, and the paper's
+Euclidean lower bound as ``lower_bound``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Lattice2D, ceil_sqrt, enumerate_short, gauss_reduce, gb_lattice, min_l1
+from .lattice import Lattice2D, ceil_sqrt, enumerate_short, gauss_reduce, min_l1, pair_lattice
 from .torus_graph import TorusGraph, edge_support
-
-# k = 2 deg gcd(1 + x, 1 + x^alpha, x^n - 1) = 2: the gcd divides 1 + x, and
-# 1 + x divides all three, because each has an even number of terms.
-CANONICAL_K = 2
 
 
 @dataclass(frozen=True)
@@ -43,29 +41,23 @@ class DistanceReport:
         return "sandwich-closed"
 
 
-def lattice_fields(alpha: int, n: int) -> dict:
-    """Every catalog field that (alpha, n) fixes but the roots and the certificate, in JSON form.
+def pair_fields(u: int, v: int, n: int) -> dict:
+    """k, d and the lattice fields of (1 + x^u, 1 + x^v, n), from one Gauss reduction of its lattice.
 
-    One Gauss reduction of L gives them all: k is ``CANONICAL_K``, d = min-L1
-    by the argument in ``determine``, and lambda2 and the Euclidean bound
-    lower = ceil(sqrt(lambda2)) come from the reduced basis, which ``min_l1``
-    reuses.  A RuntimeError means lower > d, against that argument.
-
-    The tag needs only (n, d): a class +-a/b has d = a + b, so 2n - d^2 =
-    (b - a)^2 is 1 exactly for the rotated grid [[d^2 + 1, 2, d]], alpha =
-    +-(t + 1)/t.  The square grid n = d^2 would need ab = 0, i.e. n = 1.
+    k = 2g (``pair_lattice``) and d = min-L1 by the argument in ``determine``,
+    which holds on each of the g torus components; lambda2 and the Euclidean
+    bound lower = ceil(sqrt(lambda2)) come from the reduced basis, which
+    ``min_l1`` reuses.  A RuntimeError means lower > d, against that argument.
     """
-    reduced = gauss_reduce(gb_lattice(alpha, n))
+    lat, g = pair_lattice(u, v, n)
+    reduced = gauss_reduce(lat)
     l1 = min_l1(reduced)  # reuses the reduced basis
     d, lambda2 = l1.value, reduced.b1[0] ** 2 + reduced.b1[1] ** 2  # b1 is a shortest vector
     lower = ceil_sqrt(lambda2)
     if lower > d:
-        raise RuntimeError(f"lower bound {lower} exceeds certified upper {d} for alpha={alpha}, n={n}")
+        raise RuntimeError(f"lower bound {lower} exceeds certified upper {d} for u={u}, v={v}, n={n}")
     return {
-        "n": n,
-        "alpha": alpha,
-        "length": 2 * n,
-        "k": CANONICAL_K,
+        "k": 2 * g,
         "d": d,
         "lower": lower,
         "method": "sandwich-closed",
@@ -73,8 +65,24 @@ def lattice_fields(alpha: int, n: int) -> dict:
         "min_l1": d,
         "basis": [list(reduced.b1), list(reduced.b2)],
         "t_witness": list(l1.witness),
-        "tag": "optimized-kitaev" if 2 * n == d * d + 1 else "new",
     }
+
+
+def lattice_fields(alpha: int, n: int) -> dict:
+    """Every catalog field that (alpha, n) fixes but the roots and the certificate, in JSON form.
+
+    The lattice fields are ``pair_fields(1, alpha, n)``, with k = 2: the gcd
+    of 1 + x, 1 + x^alpha and x^n - 1 is 1 + x.
+
+    The tag needs only (n, d): a class +-a/b has d = a + b, so 2n - d^2 =
+    (b - a)^2 is 1 exactly for the rotated grid [[d^2 + 1, 2, d]], alpha =
+    +-(t + 1)/t.  The square grid n = d^2 would need ab = 0, i.e. n = 1.
+    """
+    if not 1 <= alpha <= n - 1:
+        raise ValueError("alpha must lie in [1, n - 1]")
+    fields = pair_fields(1, alpha, n)
+    tag = "optimized-kitaev" if 2 * n == fields["d"] ** 2 + 1 else "new"
+    return {"n": n, "alpha": alpha, "length": 2 * n, **fields, "tag": tag}
 
 
 def lattice_lower_bound(alpha: int, n: int) -> int:
@@ -136,7 +144,7 @@ def determine(alpha: int, n: int) -> DistanceReport:
     return DistanceReport(
         n=n,
         alpha=alpha,
-        k=CANONICAL_K,
+        k=fields["k"],
         lower_bound=fields["lower"],
         upper_bound=fields["d"],
         certificate=upper_bound_certificate(alpha, n, tuple(fields["t_witness"])),

@@ -1,15 +1,14 @@
-"""Generalized bicycle construction and weight-2 canonical forms.
+"""Generalized bicycle construction.
 
 A GB code is built from two polynomials A, B modulo x^n - 1 through their
 circulants: h_x = [A | B], h_z = [B^T | A^T].  Circulants commute, so the
-pair is always a valid CSS code.  For generators of weight two, invertible
-exponent substitutions and generator swaps reduce any pair to the canonical
-shape (1 + x, 1 + x^alpha, n) without changing code parameters.
+pair is always a valid CSS code.  Generators of weight two, x^i (1 + x^u) and
+x^j (1 + x^v), give the code of (1 + x^u, 1 + x^v) (``weight2_exponents``),
+whose parameters the lattice ``lattice.pair_lattice(u, v, n)`` fixes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import css, gf2matrix, gf2poly
@@ -70,32 +69,6 @@ def dimension_formula(spec: GbSpec) -> int:
         if not p.is_zero:
             g = gf2poly.gcd(g, p)
     return 2 * g.degree
-
-
-def canonicalize_w2(u: int, v: int, n: int) -> int:
-    """The alpha that makes (1 + x^u, 1 + x^v) mod x^n - 1 equivalent to (1 + x, 1 + x^alpha).
-
-    Substituting x -> x^k for k invertible mod n preserves code parameters,
-    which gives alpha = v * u^{-1} mod n.  If u shares a factor with n but v
-    does not, the generators are swapped first; if neither exponent is
-    invertible the reduction is refused rather than guessed.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    u %= n
-    v %= n
-    if u == 0 or v == 0:
-        raise ValueError("generator 1 + x^e reduces to zero mod x^n - 1 (e = 0 mod n)")
-    if math.gcd(u, n) == 1:
-        alpha = v * pow(u, -1, n) % n
-    elif math.gcd(v, n) == 1:
-        alpha = u * pow(v, -1, n) % n
-    else:
-        raise ValueError(
-            f"cannot reduce (u={u}, v={v}) to 1 + x^alpha form: "
-            f"neither exponent is invertible modulo {n}"
-        )
-    return alpha
 
 
 def weight2_exponents(spec: GbSpec) -> tuple[int, int] | None:

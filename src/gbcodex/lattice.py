@@ -1,7 +1,8 @@
 """Integer 2D lattices: reduction, shortest vectors, short-vector enumeration.
 
-The lattice attached to a canonical weight-2 GB code is spanned by (n, 0) and
-(-alpha, 1); a point (x, y) belongs to it exactly when x + alpha*y = 0 mod n.
+The lattice of the weight-2 pair (1 + x^u, 1 + x^v) over x^n - 1 is
+L = {(x, y) : u*x + v*y = 0 mod n} (``pair_lattice``); the canonical pair
+u = 1, v = alpha gives the basis (n, 0), (-alpha, 1) (``gb_lattice``).
 All norms are kept in exact integer arithmetic (squared Euclidean length and
 L1 length); floats appear only as presentation output.
 """
@@ -52,13 +53,34 @@ class Lattice2D:
         return abs(self._signed_det())
 
 
+def pair_lattice(u: int, v: int, n: int) -> tuple[Lattice2D, int]:
+    """L = {(x, y) : u*x + v*y = 0 mod n} of the pair (1 + x^u, 1 + x^v) over x^n - 1, and g = gcd(u, v, n).
+
+    The Tanner graph of h_x = [1 + x^u | 1 + x^v] has vertices Z/n and edges
+    w -> w + u, w -> w + v.  (x, y) -> u*x + v*y maps Z^2 onto gZ/n, so the
+    graph is g copies of the square grid Z^2 / L, |det L| = n / g and k = 2g
+    (gcd(1 + x^u, 1 + x^v, 1 + x^n) = 1 + x^g).  With c = gcd(u, n) the basis
+    is (n/c, 0), the least (x, 0) in L, and (x0, c/g), the least y in L over
+    x0 in (-n/c, 0] with (u/c) x0 = -(v/g) mod n/c; for u = 1 it is (n, 0),
+    (-alpha, 1) with alpha = v mod n.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if u % n == 0 or v % n == 0:
+        raise ValueError("generator 1 + x^e reduces to zero mod x^n - 1 (e = 0 mod n)")
+    c = math.gcd(u, n)
+    g = math.gcd(c, v)
+    m = n // c
+    return Lattice2D((m, 0), (-(v // g * pow(u // c, -1, m) % m), c // g)), g
+
+
 def gb_lattice(alpha: int, n: int) -> Lattice2D:
     """The lattice {(x, y) : x + alpha*y = 0 mod n}, basis (n, 0), (-alpha, 1)."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 1 <= alpha <= n - 1:
         raise ValueError("alpha must lie in [1, n - 1]")
-    return Lattice2D((n, 0), (-alpha, 1))
+    return pair_lattice(1, alpha, n)[0]
 
 
 def _sign_normalize(v: Vec) -> Vec:

@@ -149,6 +149,18 @@ def box_points(bound: int):
     return product(range(-bound, bound + 1), repeat=2)
 
 
+def canonical_alpha(u: int, v: int, n: int) -> int | None:
+    """alpha with (1 + x^u, 1 + x^v) mod x^n - 1 equivalent to (1 + x, 1 + x^alpha), or None.
+
+    Substituting x -> x^(1/u) needs u invertible mod n; failing that, the
+    generators are swapped first.  None when neither exponent is invertible.
+    """
+    for a, b in ((u, v), (v, u)):
+        if gcd(a, n) == 1:
+            return b * pow(a, -1, n) % n
+    return None
+
+
 def gb_check_rows(a_support: list[int], b_support: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
     """H_X = [A | B] and H_Z = [B^T | A^T] as 0/1 lists.
 

@@ -196,7 +196,7 @@ class TestSweep:
         assert scanned == [65]
 
     def test_one_reduction_per_lattice_fields(self, tmp_path, monkeypatch, capsys):
-        # min_l1 and enumerate_short reuse the reduced basis, and every caller reads lattice_fields
+        # min_l1 and enumerate_short reuse the reduced basis, and every caller reads pair_fields
         path = str(tmp_path / "catalog.ndjson")
         write_catalog(path, sweep_catalog(200), 200)
         reduced = []
@@ -221,6 +221,8 @@ class TestSweep:
         assert reductions(verify_catalog, path) == 22  # one per verified row
         assert reductions(cli.main, ["bound", "--u", "3", "--v", "1", "--n", "10"]) == 1
         assert reductions(cli.main, ["construct", "--a", "1+x", "--b", "1+x^5", "--n", "13"]) == 1
+        assert reductions(cli.main, ["bound", "--u", "2", "--v", "4", "--n", "8"]) == 1
+        assert reductions(cli.main, ["construct", "--a", "1+x^2", "--b", "1+x^4", "--n", "8"]) == 1
         capsys.readouterr()
 
     def test_family_tags(self, records_200):

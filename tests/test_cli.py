@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from gbcodex.cli import main
-from gbcodex.distance import determine, lattice_lower_bound
-from gbcodex.gbcode import canonicalize_w2
+from gbcodex.distance import determine, lattice_fields
+from oracle_utils import canonical_alpha
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,15 +37,19 @@ class TestConstruct:
         assert "[[6, 0]]" in out
         assert "distance: infinite" in out
 
-    def test_normalized_alpha_reported(self, capsys):
+    def test_equivalent_pair_reports_its_lattice(self, capsys):
+        # (1 + x^3, 1 + x, 10) is the canonical alpha = 7 code, read off its own pair lattice
         code, out, _ = run_cli(capsys, "construct", "--a", "1+x^3", "--b", "1+x", "--n", "10")
         assert code == 0
-        assert "alpha=7" in out
+        fields = lattice_fields(7, 10)
+        assert out.splitlines()[0] == f"[[20, 2]] lambda2={fields['lambda2']} minL1={fields['min_l1']}"
+        assert "alpha=" not in out
 
     def test_non_reducible_pair_reported(self, capsys):
+        # neither exponent is invertible mod 8, and the pair lattice still answers: g = 2, d = 2
         code, out, _ = run_cli(capsys, "construct", "--a", "1+x^2", "--b", "1+x^4", "--n", "8")
         assert code == 0
-        assert "not canonicalized" in out
+        assert out.splitlines() == ["[[16, 4]] lambda2=4 minL1=2", "k-check: rank-based=4 gcd-formula=4 ok"]
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--a", "1+y", "--b", "1", "--n", "3")
@@ -97,37 +102,50 @@ class TestBound:
     def test_reduction_reported(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--u", "3", "--v", "1", "--n", "10")
         assert code == 0
-        assert "alpha=7" in out and "lower-bound=4" in out
+        assert out == "k=2 lower-bound=4 lambda2=10\n"
 
     def test_non_invertible_u_swapped(self, capsys):
+        # the bounds of alpha = 6, which swapping the generators would reach
         code, out, _ = run_cli(capsys, "bound", "--u", "2", "--v", "3", "--n", "8")
         assert code == 0
-        assert "alpha=6" in out
+        fields = lattice_fields(6, 8)
+        assert out == f"k=2 lower-bound={fields['lower']} lambda2={fields['lambda2']}\n"
 
     def test_small_n_answers(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--u", "1", "--v", "2", "--n", "5")
         assert code == 0
-        assert "alpha=2 lower-bound=3 lambda2=5" in out
+        assert out == "k=2 lower-bound=3 lambda2=5\n"
 
-    def test_irreducible_pair_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "bound", "--u", "2", "--v", "4", "--n", "8")
-        assert code == 2
-        assert "invertible" in err
+    def test_pair_without_invertible_exponent_answers(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--u", "2", "--v", "4", "--n", "8")
+        assert code == 0
+        assert out == "k=4 lower-bound=2 lambda2=4\n"
+
+    @pytest.mark.parametrize(
+        "u, v, n, message",
+        [(8, 3, 8, "reduces to zero"), (3, 0, 8, "reduces to zero"), (1, 1, 1, "n must be at least 2")],
+    )
+    def test_bad_input_exits_2(self, capsys, u, v, n, message):
+        code, out, err = run_cli(capsys, "bound", "--u", str(u), "--v", str(v), "--n", str(n))
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_bound_agrees_with_determine(self, capsys):
+        # every pair answers; where a canonical alpha exists, with the bounds of its lattice
         exact = functools.cache(lambda alpha, n: determine(alpha, n).exact)
         checked = 0
         for n in range(2, 21):
             for u in range(1, n):
                 for v in range(1, n):
-                    try:
-                        alpha = canonicalize_w2(u, v, n)
-                    except ValueError:
-                        continue
                     code, out, _ = run_cli(capsys, "bound", "--u", str(u), "--v", str(v), "--n", str(n))
-                    match = re.fullmatch(r"alpha=(\d+) lower-bound=(\d+) lambda2=\d+\n", out)
-                    assert code == 0 and match and int(match[1]) == alpha, (u, v, n, out)
-                    assert int(match[2]) == lattice_lower_bound(alpha, n) <= exact(alpha, n)
+                    match = re.fullmatch(r"k=(\d+) lower-bound=(\d+) lambda2=(\d+)\n", out)
+                    assert code == 0 and match and int(match[1]) == 2 * math.gcd(u, v, n), (u, v, n, out)
+                    alpha = canonical_alpha(u, v, n)
+                    if alpha is None:
+                        continue
+                    fields = lattice_fields(alpha, n)
+                    assert (int(match[2]), int(match[3])) == (fields["lower"], fields["lambda2"]), (u, v, n)
+                    assert fields["lower"] <= exact(alpha, n)
                     checked += 1
         assert checked == 1997  # of the 2470 pairs, those with u or v invertible mod n
 
@@ -280,6 +298,7 @@ import gbcodex
 from gbcodex.cli import main
 absent("gf2poly", "gf2matrix", "css", "gbcode")
 assert main(["verify", {path!r}]) == 0
+assert main(["bound", "--u", "2", "--v", "4", "--n", "8"]) == 0
 absent("gf2poly", "gf2matrix", "css", "gbcode")
 assert main(["sweep", "--max-length", "60", "--output", {path!r}]) == 0
 assert main(["distance", "--alpha", "5", "--n", "13"]) == 0

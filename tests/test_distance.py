@@ -9,12 +9,13 @@ from gbcodex.distance import (
     determine,
     lattice_fields,
     lattice_lower_bound,
+    pair_fields,
     parity_refined_lower,
     upper_bound_certificate,
 )
-from gbcodex.gbcode import build, canonical_spec, canonicalize_w2
+from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
-from oracle_utils import gb_check_rows, graphlike_min_logical, scan_lambda2, scan_min_l1
+from oracle_utils import canonical_alpha, gb_check_rows, graphlike_min_logical, scan_lambda2, scan_min_l1
 
 
 class TestLatticeBound:
@@ -37,21 +38,28 @@ class TestLatticeBound:
             assert lattice_lower_bound(alpha, n) == ceil_sqrt(scan_lambda2(alpha, n))
 
 
+def bound_fields(fields):
+    return fields["k"], fields["lower"], fields["lambda2"], fields["d"]
+
+
 class TestCorollaryBound:
     """The bound for (1 + x^u, 1 + x^v) is the bound of its canonical alpha."""
 
     def test_u_one_is_identity(self):
-        assert canonicalize_w2(1, 5, 13) == 5
+        assert canonical_alpha(1, 5, 13) == 5
+        assert pair_fields(1, 5, 13).items() <= lattice_fields(5, 13).items()
 
     def test_reduced_alpha(self):
         # u=3, v=1, n=10 reduces to alpha=7; lattice minimum is 10
-        assert lattice_lower_bound(canonicalize_w2(3, 1, 10), 10) == 4
+        assert lattice_lower_bound(canonical_alpha(3, 1, 10), 10) == 4
         assert scan_lambda2(7, 10) == 10
+        assert bound_fields(pair_fields(3, 1, 10)) == bound_fields(lattice_fields(7, 10))
 
     def test_swapped_generators_share_alpha(self):
-        # u = 2 is not invertible mod 8, so the generators are swapped: the same
-        # equivalence that construct applies
-        assert canonicalize_w2(2, 3, 8) == canonicalize_w2(3, 2, 8) == 6
+        # u = 2 is not invertible mod 8, so the generators are swapped, which
+        # mirrors the lattice and keeps every bound
+        assert canonical_alpha(2, 3, 8) == canonical_alpha(3, 2, 8) == 6
+        assert bound_fields(pair_fields(2, 3, 8)) == bound_fields(pair_fields(3, 2, 8)) == bound_fields(lattice_fields(6, 8))
 
     def test_small_n_bound_below_distance(self):
         # d = min-L1 >= ceil(lambda) at every n, not only n >= 6

@@ -1,19 +1,17 @@
 import random
 
-import pytest
-
 from gbcodex import css
 from gbcodex.gbcode import (
     GbSpec,
     build,
     canonical_spec,
-    canonicalize_w2,
     dimension_formula,
     weight2_exponents,
 )
 from gbcodex.gf2matrix import BitMatrix, is_zero, mat_mul, transpose
 from gbcodex.gf2poly import BinaryPolynomial, parse_poly
-from oracle_utils import gb_check_rows, to_masks
+from gbcodex.lattice import gb_lattice, pair_lattice
+from oracle_utils import canonical_alpha, gb_check_rows, lattice_contains, to_masks
 
 
 def P(text):
@@ -97,14 +95,23 @@ class TestShiftNormalize:
             done += 1
 
 
+def same_lattice(lhs, rhs):
+    return lhs.det == rhs.det and all(lattice_contains(lhs, b) for b in (rhs.b1, rhs.b2))
+
+
 class TestCanonicalizeW2:
+    """x -> x^(1/u) takes (1 + x^u, 1 + x^v) to the canonical pair (1 + x, 1 + x^alpha), and L with it."""
+
     def test_identity_reduction(self):
-        assert canonicalize_w2(1, 2, 5) == 2
+        assert canonical_alpha(1, 2, 5) == 2
+        assert pair_lattice(1, 2, 5) == (gb_lattice(2, 5), 1)
 
     def test_inverse_reduction(self):
         # 3^{-1} mod 10 = 7, independently: 3 * 7 = 21 = 1 mod 10
         assert pow(3, -1, 10) == 7
-        assert canonicalize_w2(3, 1, 10) == 7
+        assert canonical_alpha(3, 1, 10) == 7
+        lat, g = pair_lattice(3, 1, 10)
+        assert g == 1 and same_lattice(lat, gb_lattice(7, 10))
 
     def test_equivalent_codes_same_exhaustive_distance(self):
         lhs = build(GbSpec(P("1+x^3"), P("1+x"), 10))
@@ -112,16 +119,11 @@ class TestCanonicalizeW2:
         assert css.exhaustive_distance(lhs, "X") == css.exhaustive_distance(rhs, "X")
 
     def test_swap_fallback_when_u_not_invertible(self):
-        # gcd(4, 10) != 1 but gcd(3, 10) = 1: swap generators first
-        assert canonicalize_w2(4, 3, 10) == 4 * pow(3, -1, 10) % 10
-
-    def test_irreducible_pair_rejected(self):
-        with pytest.raises(ValueError, match="invertible"):
-            canonicalize_w2(2, 4, 8)
-
-    def test_zero_exponent_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            canonicalize_w2(5, 10, 5)
+        # gcd(4, 10) != 1 but gcd(3, 10) = 1: swapping the generators swaps the coordinates of L
+        assert canonical_alpha(4, 3, 10) == 4 * pow(3, -1, 10) % 10 == 8
+        lat, g = pair_lattice(4, 3, 10)
+        mirrored = type(lat)(lat.b1[::-1], lat.b2[::-1])
+        assert g == 1 and same_lattice(mirrored, gb_lattice(8, 10))
 
     def test_mirror_pairs_have_equal_parameters(self):
         for n in range(5, 12):

@@ -1,7 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gbcodex import css
+from gbcodex.gbcode import GbSpec, build, dimension_formula
+from gbcodex.gf2poly import BinaryPolynomial
 from gbcodex.lattice import (
     Lattice2D,
     ceil_sqrt,
@@ -9,9 +15,17 @@ from gbcodex.lattice import (
     gauss_reduce,
     gb_lattice,
     min_l1,
+    pair_lattice,
     shortest_norm2,
 )
-from oracle_utils import box_points, lattice_contains, scan_lambda2, scan_min_l1
+from oracle_utils import (
+    box_points,
+    gb_check_rows,
+    graphlike_min_logical,
+    lattice_contains,
+    scan_lambda2,
+    scan_min_l1,
+)
 
 
 class TestGbLattice:
@@ -41,6 +55,68 @@ class TestGbLattice:
         assert lattice_contains(lat, (0, 0))
         assert lattice_contains(lat, (1, 2))
         assert not lattice_contains(lat, (1, 1))
+
+
+def pair_spec(u, v, n):
+    return GbSpec(BinaryPolynomial.from_support([0, u]), BinaryPolynomial.from_support([0, v]), n)
+
+
+def graphlike_distances(u, v, n):
+    """The graph-like oracle's distance on the X side and on the Z side."""
+    h_x, h_z = gb_check_rows([0, u], [0, v], n)
+    return graphlike_min_logical(h_x, h_z), graphlike_min_logical(h_z, h_x)
+
+
+@st.composite
+def pairs(draw):
+    n = draw(st.integers(2, 60))
+    return draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1)), n
+
+
+class TestPairLattice:
+    def test_u_one_is_gb_lattice(self):
+        # gb_lattice's basis (n, 0), (-alpha, 1), which the catalog's bytes rest on
+        for n in range(2, 40):
+            for alpha in range(1, n):
+                assert pair_lattice(1, alpha, n) == (Lattice2D((n, 0), (-alpha, 1)), 1)
+
+    def test_every_pair_up_to_20(self):
+        # for all 2470 pairs 1 <= u, v < n <= 20: the basis satisfies u x + v y = 0 mod n, |det| = n / g is
+        # the index of that rule in Z^2, k = 2g, and d = min-L1 on both sides
+        checked = 0
+        for n in range(2, 21):
+            for u in range(1, n):
+                for v in range(1, n):
+                    lat, g = pair_lattice(u, v, n)
+                    assert g == math.gcd(u, v, n) and lat.det == n // g
+                    assert all((u * x + v * y) % n == 0 for x, y in (lat.b1, lat.b2))
+                    assert lat.det * sum((u * x + v * y) % n == 0 for x in range(n) for y in range(n)) == n * n
+                    assert dimension_formula(pair_spec(u, v, n)) == 2 * g
+                    d = min_l1(lat).value
+                    assert graphlike_distances(u, v, n) == (d, d), (u, v, n)
+                    checked += 1
+        assert checked == 2470
+
+    def test_zero_exponent_rejected(self):
+        for u, v, n in [(5, 10, 5), (8, 3, 8), (3, 0, 8), (-4, 1, 4)]:
+            with pytest.raises(ValueError, match="reduces to zero"):
+                pair_lattice(u, v, n)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_n_below_two_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            pair_lattice(1, 1, n)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(pairs())
+    def test_min_l1_is_the_distance(self, pair):
+        u, v, n = pair
+        lat, g = pair_lattice(u, v, n)
+        d = min_l1(lat).value
+        assert graphlike_distances(u, v, n) == (d, d)
+        if n + g <= css.KERNEL_CAP:  # dim ker h_x = 2n - rank = n + g
+            code = build(pair_spec(u, v, n))
+            assert css.exhaustive_distance(code, "X") == css.exhaustive_distance(code, "Z") == d
 
 
 class TestGaussReduce:
