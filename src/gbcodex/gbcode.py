@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import css, gf2matrix, gf2poly
+from . import gf2matrix, gf2poly
 from .css import CssCode
 from .gf2poly import BinaryPolynomial
 
@@ -56,10 +56,19 @@ def optimized_kitaev_spec(t: int) -> GbSpec:
 
 
 def build(spec: GbSpec) -> CssCode:
-    """h_x = [A | B] and h_z = [B^T | A^T]; orthogonality is re-asserted by the validator."""
+    """h_x = [A | B] and h_z = [B^T | A^T], with orthogonality re-asserted as AB = BA.
+
+    h_z^T stacks B over A, so h_x h_z^T = AB + BA, which over GF(2) is zero
+    exactly when A and B commute: two n x n products instead of
+    ``css.new_css``'s transpose of h_z and product over 2n columns.  The
+    built matrices are still checked end to end by the tests
+    ``test_h_z_is_transposed_circulants`` and ``test_orthogonality_always``.
+    """
     a, b = gf2matrix.circulant(spec.a, spec.n), gf2matrix.circulant(spec.b, spec.n)
+    if gf2matrix.mat_mul(a, b) != gf2matrix.mat_mul(b, a):
+        raise ValueError("not orthogonal: AB != BA, so h_x @ h_z^T != 0")
     h_z = gf2matrix.hstack(gf2matrix.transpose(b), gf2matrix.transpose(a))
-    return css.new_css(gf2matrix.hstack(a, b), h_z)
+    return CssCode(gf2matrix.hstack(a, b), h_z)
 
 
 def dimension_formula(spec: GbSpec) -> int:

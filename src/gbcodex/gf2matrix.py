@@ -28,9 +28,8 @@ class BitMatrix:
     def __post_init__(self) -> None:
         if self.cols < 0:
             raise ValueError("cols must be nonnegative")
-        for r in self.rows:
-            if r < 0 or r >> self.cols:
-                raise ValueError("row has bits outside the column range")
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.cols):
+            raise ValueError("row has bits outside the column range")
 
     @property
     def num_rows(self) -> int:
@@ -44,20 +43,18 @@ def circulant(p, n: int) -> BitMatrix:
     ``support()`` are read, so this module imports no polynomial code.
 
     Entry (i, j) is the coefficient of x^((i - j) mod n), so column j is the
-    cyclic downward shift of column 0 by j.
+    cyclic downward shift of column 0 by j, and row i is row 0, with bit
+    -e mod n for each e in the support, rotated up by i.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not p.is_zero and p.degree >= n:
         raise ValueError("polynomial too wide for circulant size")
-    support = p.support()
-    rows = []
-    for i in range(n):
-        r = 0
-        for e in support:
-            r |= 1 << ((i - e) % n)
-        rows.append(r)
-    return BitMatrix(tuple(rows), n)
+    first = 0
+    for e in p.support():
+        first |= 1 << (-e % n)
+    twice, full = first << n | first, (1 << n) - 1  # bits n - i .. 2n - i - 1 of twice: row 0 rotated by i
+    return BitMatrix(tuple([twice >> (n - i) & full for i in range(n)]), n)
 
 
 def echelon(rows: Iterable[int], columns: int) -> tuple[list[int], int, list[int]]:
@@ -96,11 +93,15 @@ def echelon(rows: Iterable[int], columns: int) -> tuple[list[int], int, list[int
 def rref(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    ``echelon`` on every column, with the rows sorted by pivot; the form of
-    a row space is unique, so any elimination order gives these rows.
+    ``echelon`` on every column, with the rows put in the order of the set
+    bits of its ``held``; the form of a row space is unique, so any
+    elimination order gives these rows.
     """
-    rows = sorted(echelon(m.rows, (1 << m.cols) - 1)[0], key=lambda r: r & -r)
-    return tuple(rows), tuple((r & -r).bit_length() - 1 for r in rows)
+    out, held, _ = echelon(m.rows, (1 << m.cols) - 1)
+    by_pivot = {(r & -r).bit_length() - 1: r for r in out}
+    digits = bin(held)[:1:-1]  # held's binary digits, lowest first
+    pivots = tuple([j for j, bit in enumerate(digits) if bit == "1"])
+    return tuple(map(by_pivot.__getitem__, pivots)), pivots
 
 
 def rref_reduce(rows: tuple[int, ...], pivots: tuple[int, ...], v: int) -> int:
@@ -127,19 +128,19 @@ def rref_kernel(rows: tuple[int, ...], pivots: tuple[int, ...], cols: int,
     with bit j, in order of j.  Each is returned as the XOR of the images
     of its bits, image[c] for bit c (by default the unit vector of c), so
     a linear map of the kernel basis comes with no pass over its vectors.
-    Each row's free bits are peeled once, so the cost is O(nnz + cols)
-    big-int steps.
+    Each row's free bits, all its bits but its pivot, are peeled once, so
+    the cost is O(nnz + cols) big-int steps.
     """
     image = image or [1 << j for j in range(cols)]
-    basis = list(image)  # basis[j] is the vector of free column j, once every row is peeled
-    free = (1 << cols) - 1 - sum(1 << p for p in pivots)
+    basis: list[int | None] = list(image)  # basis[j] is the vector of free column j, once every row is peeled
     for row, p in zip(rows, pivots):
-        r, add = row & free, image[p]
+        r, add = row ^ 1 << p, image[p]
+        basis[p] = None  # a pivot column has no vector
         while r:
             low = r & -r
             basis[low.bit_length() - 1] ^= add
             r ^= low
-    return [basis[j] for j in range(cols) if free >> j & 1]
+    return [v for v in basis if v is not None]
 
 
 def row_space_contains(m: BitMatrix, v: int) -> bool:
@@ -171,14 +172,13 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """GF(2) matrix product a @ b."""
     if a.cols != b.num_rows:
         raise ValueError("inner dimension mismatch in mat_mul")
-    rows = []
-    for ra in a.rows:
+    b_rows, rows = b.rows, []
+    for r in a.rows:
         acc = 0
-        r = ra
         while r:
-            j = (r & -r).bit_length() - 1
-            acc ^= b.rows[j]
-            r &= r - 1
+            low = r & -r
+            acc ^= b_rows[low.bit_length() - 1]
+            r ^= low
         rows.append(acc)
     return BitMatrix(tuple(rows), b.cols)
 

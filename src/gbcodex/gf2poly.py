@@ -31,7 +31,14 @@ class BinaryPolynomial:
         return self.mask == 0
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if (self.mask >> i) & 1)
+        """Exponents of the set coefficients, ascending, peeled lowest bit first."""
+        out = []
+        m = self.mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(out)
 
     @classmethod
     def from_support(cls, exponents) -> BinaryPolynomial:

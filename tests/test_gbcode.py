@@ -1,6 +1,8 @@
 import random
 
-from gbcodex import css
+import pytest
+
+from gbcodex import css, gf2matrix
 from gbcodex.gbcode import (
     GbSpec,
     build,
@@ -8,7 +10,7 @@ from gbcodex.gbcode import (
     dimension_formula,
     weight2_exponents,
 )
-from gbcodex.gf2matrix import BitMatrix, is_zero, mat_mul, transpose
+from gbcodex.gf2matrix import BitMatrix, hstack, is_zero, mat_mul, transpose
 from gbcodex.gf2poly import BinaryPolynomial, parse_poly
 from gbcodex.lattice import gb_lattice, pair_lattice
 from oracle_utils import canonical_alpha, gb_check_rows, lattice_contains, to_masks
@@ -52,6 +54,20 @@ class TestBuild:
             code = build(spec)
             assert code.h_x == BitMatrix(tuple(to_masks(h_x)), 2 * spec.n)
             assert code.h_z == BitMatrix(tuple(to_masks(h_z)), 2 * spec.n)
+
+    def test_non_commuting_blocks_rejected(self, monkeypatch):
+        # a GbSpec always gives commuting circulants, so the blocks are swapped
+        # for two transpositions of three points, which do not commute
+        swap01, swap12 = BitMatrix((0b010, 0b001, 0b100), 3), BitMatrix((0b001, 0b100, 0b010), 3)
+        assert mat_mul(swap01, swap12) != mat_mul(swap12, swap01)
+        blocks = {P("1"): swap01, P("x"): swap12}
+        monkeypatch.setattr(gf2matrix, "circulant", lambda p, n: blocks[p])
+        with pytest.raises(ValueError, match="^not orthogonal"):
+            build(GbSpec(P("1"), P("x"), 3))
+        # the same pair fails the full check h_x h_z^T = 0 as well
+        h_z = hstack(transpose(swap12), transpose(swap01))
+        with pytest.raises(ValueError, match="^not orthogonal"):
+            css.new_css(hstack(swap01, swap12), h_z)
 
 
 class TestDimensionFormula:

@@ -69,7 +69,39 @@ def reference_rref_kernel(rows, pivots, cols):
     return basis
 
 
+class TestBitMatrixValidation:
+    def test_negative_row_rejected(self):
+        with pytest.raises(ValueError, match="outside the column range"):
+            BitMatrix((0b01, -1, 0b10), 2)
+
+    def test_bit_at_or_above_cols_rejected(self):
+        for bad in (0b1000, 0b1001, 1 << 40):
+            with pytest.raises(ValueError, match="outside the column range"):
+                BitMatrix((0b111, bad), 3)
+
+    def test_negative_cols_rejected(self):
+        for rows in ((), (0,)):
+            with pytest.raises(ValueError, match="cols must be nonnegative"):
+                BitMatrix(rows, -1)
+
+    def test_widest_rows_and_empty_shapes_accepted(self):
+        assert BitMatrix((0b111, 0, 0b100), 3).num_rows == 3
+        assert BitMatrix((), 0).num_rows == 0
+        assert BitMatrix((0, 0), 0).cols == 0
+
+
 class TestCirculant:
+    def test_entries_from_the_definition(self):
+        # entry (i, j) is the coefficient of x^((i - j) mod n)
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randrange(1, 40)
+            p = BinaryPolynomial(rng.getrandbits(n))
+            m = circulant(p, n)
+            assert (m.num_rows, m.cols) == (n, n)
+            assert all((m.rows[i] >> j) & 1 == (p.mask >> ((i - j) % n)) & 1
+                       for i in range(n) for j in range(n))
+
     def test_one_gives_identity(self):
         assert circulant(P("1"), 3) == BitMatrix((0b001, 0b010, 0b100), 3)
 

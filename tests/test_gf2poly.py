@@ -34,6 +34,12 @@ class TestBasics:
         assert p.mask.bit_count() == len(p.support()) == 3
         assert p.support() == (0, 3, 5)
 
+    def test_support_is_the_set_bits_ascending(self):
+        rng = random.Random(19)
+        for mask in [0, 1, 1 << 200] + [rng.getrandbits(rng.randrange(1, 300)) for _ in range(100)]:
+            support = BinaryPolynomial(mask).support()
+            assert support == tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
     def test_from_support_cancels_pairs(self):
         assert BinaryPolynomial.from_support([2, 2]).is_zero
         assert BinaryPolynomial.from_support([0, 1, 1]) == P("1")
