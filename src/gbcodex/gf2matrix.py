@@ -7,9 +7,10 @@ logical split and exhaustive search in ``css``.
 
 Costs are counted in big-int steps, each one bitwise operation on a row or
 column integer: ``echelon`` reduces a row v in O(|v & pivots|) steps, one
-per pivot that v holds, plus O(rank) for each new pivot it clears from the
-other rows.  That back-substitution keeps ``rref`` of an r-row matrix at
-O(r * rank) steps, cubic in n for an n x 2n face matrix, however sparse the
+per pivot that v holds, plus O(rank) to clear a new pivot from the other
+rows only when one of them holds it, which one AND decides.  That
+back-substitution keeps ``rref`` of an r-row matrix at O(r * rank) steps in
+the worst case, cubic in n for an n x 2n face matrix, however sparse the
 rows.  ``transpose`` and ``rref_kernel`` peel set bits and take
 O(nnz + cols), nnz being the set entries they read.
 """
@@ -66,12 +67,15 @@ def echelon(rows: Iterable[int], columns: int) -> tuple[list[int], int, list[int
     what ``rows`` spans.  The pivot rows come in the order their rows were
     met.  Each pivot bit lives in one returned row only, so adding that
     row clears it from v and sets no other pivot bit: v is reduced by the
-    rows of the pivots in v & held alone, O(|v & pivots|) steps.  A row
-    that gives a pivot then takes O(rank) steps to clear it from the others.
+    rows of the pivots in v & held alone, O(|v & pivots|) steps.  Every
+    returned row is an XOR of rows taken as pivot rows, so a new pivot bit
+    outside ``seen``, their OR, is in no other returned row; only a pivot
+    in ``seen`` takes O(rank) steps to clear it from the others.
     """
     out: list[int] = []
     at: dict[int, int] = {}  # at[p] is the position in out of the row with pivot bit p
     held = 0  # the OR of the pivot bits
+    seen = 0  # the OR of the rows taken as pivot rows
     rest = []
     for v in rows:
         hit = v & held
@@ -81,7 +85,9 @@ def echelon(rows: Iterable[int], columns: int) -> tuple[list[int], int, list[int
             hit ^= low
         if v & columns:
             p = v & columns & -(v & columns)
-            out = [r ^ v if r & p else r for r in out]
+            if seen & p:
+                out = [r ^ v if r & p else r for r in out]
+            seen |= v
             at[p] = len(out)
             out.append(v)
             held |= p

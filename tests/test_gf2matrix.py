@@ -330,6 +330,28 @@ class TestEchelonMatchesReference:
                 assert rref(m) == (rows, tuple((r & -r).bit_length() - 1 for r in rows))
 
 
+class CountedAnd(int):
+    """An int that counts the ANDs it is the left operand of."""
+
+    calls = 0
+
+    def __and__(self, other):
+        CountedAnd.calls += 1
+        return int(self) & other
+
+
+class TestEchelonSkipsFreshPivots:
+    def test_unit_rows_take_no_back_substitution(self):
+        # no earlier row holds a new unit row's bit, so no pivot row is
+        # revisited: a handful of ANDs per row, not one per earlier row
+        n = 400
+        rows = [CountedAnd(1 << j) for j in random.Random(37).sample(range(n), n)]
+        expected = reference_echelon(rows, (1 << n) - 1)
+        CountedAnd.calls = 0
+        assert echelon(rows, (1 << n) - 1) == expected
+        assert CountedAnd.calls <= 8 * n
+
+
 class TestTransposeEntrywise:
     def test_empty_shapes(self):
         assert transpose(BitMatrix((), 0)) == BitMatrix((), 0)
