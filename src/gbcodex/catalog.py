@@ -11,8 +11,8 @@ record (a dict) per admissible n with 2n <= max_length.  Records serialize
 to newline-delimited JSON or to a flat CSV export, with exact integers only;
 the JSON header records max_length and a seed, which is only a label.
 ``verify`` derives every record of either format the same way, certificate
-included, compares it field by field, and checks that the recomputed
-staircase is a weight-d logical operator (see ``verify_catalog``).
+included, compares it field by field, and checks by arithmetic that the
+recomputed certificate is a weight-d logical operator (see ``verify_catalog``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 
 from . import arithmetic
 from .distance import lattice_fields, upper_bound_certificate
-from .torus_graph import TorusGraph, edge_support
+from .torus_graph import TorusGraph
 
 SCHEMA_NAME = "gb-catalog"
 SCHEMA_VERSION = 3
@@ -129,22 +129,20 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
     if alpha != best:
         return [f"alpha {alpha} is not the strongest root of -1 mod {n} (expected {best})"]
     fields = lattice_fields(alpha, n)
-    expected = {**fields, "alphas": roots}
-    bits = None
-    if keys is None:  # only a JSON record stores the certificate
-        graph = TorusGraph(n, alpha)
-        bits = graph.staircase(tuple(fields["t_witness"]))
-        expected["certificate"] = list(edge_support(bits))
-        keys = list(expected)
+    tx, ty = fields["t_witness"]
+    certificate = TorusGraph(n, alpha).staircase_edges((tx, ty))
+    expected = {**fields, "alphas": roots, "certificate": certificate}
+    keys = keys or list(expected)  # a full JSON record holds every field and the certificate
     problems = [f"missing key {key}" for key in keys if key not in row]
     problems += [f"unexpected key {key}" for key in row if key not in keys]
     problems += [f"{key} {render(row[key])} != recomputed {render(value)}"
                  for key, value in expected.items() if key in row and render(row[key]) != render(value)]
-    if bits is not None and "certificate" in row:  # the recomputed staircase must be a weight-d logical operator
-        if bits.bit_count() != fields["d"]:
-            problems.append(f"certificate weight {bits.bit_count()} != d {fields['d']}")
-        if not graph.is_logical(bits):
-            problems.append("certificate is not a logical operator")
+    if len(certificate) != fields["d"]:
+        problems.append(f"certificate weight {len(certificate)} != d {fields['d']}")
+    elif len(set(certificate)) != len(certificate):
+        problems.append("certificate repeats an edge")
+    if ty % 2 == 0 and (tx + alpha * ty) // n % 2 == 0:  # t = c1 (n, 0) + c2 (-alpha, 1) with c1, c2 even
+        problems.append("certificate is not a logical operator")
     return problems
 
 
@@ -175,9 +173,9 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     JSON header's max_length, name the strongest root class, and match
     ``distance.lattice_fields`` field by field.  A JSON header or record must
     hold exactly the written keys.  The certificate is compared like any
-    field, with the edges of the staircase of the recomputed ``t_witness``,
-    and that staircase must be a weight-d logical operator on the torus
-    graph (no dense algebra).  Every admissible n must have a row up to the
+    field, with the edges of the staircase of the recomputed ``t_witness``:
+    d distinct edges, with t_witness not in 2L, so a weight-d logical (no
+    edge set, no dense algebra).  Every admissible n must have a row up to the
     JSON header's max_length (for a CSV export, up to the largest stored n).
     The first gap is found and reported before any row is derived, and rows
     past it are not derived.  A rejected header, JSON or CSV, or an empty

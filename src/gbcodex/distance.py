@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import Lattice2D, ceil_sqrt, enumerate_short, gauss_reduce, min_l1, pair_lattice
-from .torus_graph import TorusGraph, edge_support
+from .torus_graph import TorusGraph
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def lattice_lower_bound(alpha: int, n: int) -> int:
 
 
 def upper_bound_certificate(alpha: int, n: int, t: tuple[int, int]) -> tuple[int, ...]:
-    """The edge indices of the staircase of the minimal-L1 lattice vector t, revalidated once.
+    """The edges of the staircase of the minimal-L1 lattice vector t, listed from t, revalidated once.
 
     The staircase closes, so it lies in ker(h_x); it must also have weight
     |t|_1 and lie outside the face span, or a RuntimeError is raised.
@@ -101,7 +101,7 @@ def upper_bound_certificate(alpha: int, n: int, t: tuple[int, int]) -> tuple[int
     weight = abs(t[0]) + abs(t[1])
     if bits.bit_count() != weight or graph.is_sum_of_faces(bits):
         raise RuntimeError(f"staircase of {t} is not a weight-{weight} logical for alpha={alpha}, n={n}")
-    return edge_support(bits)
+    return graph.staircase_edges(t)
 
 
 def parity_refined_lower(alpha: int, n: int) -> int:

@@ -3,10 +3,12 @@
 Vertices are Z/nZ.  Edge index k < n is the unit edge {k, k+1}; index n+k is
 the long edge {k, k+alpha}.  With that indexing the vertex-edge incidence
 matrix coincides bit-for-bit with h_x = [Circ(1+x) | Circ(1+x^alpha)], faces
-are the rows of h_z, and closed walks are kernel vectors of h_x.  An edge set
-is a plain int of 2n bits, bit k for edge k.  Both products h_x v and h_z v
-are two cyclic shifts of each half of the edge bits, so checking that a
-cycle is a logical operator costs O(n) word operations.
+are the rows of h_z, and closed walks are kernel vectors of h_x.  A
+certificate is listed from its lattice vector t alone (``staircase_edges``):
+the staircase of t is a weight-d logical when its d edges are distinct and
+t is not in 2L.  An edge set is a plain int of 2n bits, bit k for edge k;
+h_x v is two cyclic shifts of each half of the edge bits, so the cycle and
+cut-parity checks cost O(n) word operations.
 
 Edges are tracked by index, so the construction stays valid for the
 degenerate values alpha in {1, n-1} where the simple graph would collapse to
@@ -42,12 +44,13 @@ class TorusGraph:
         p %= n
         return (1 << p) | (1 << ((p + a) % n)) | (1 << (n + p)) | (1 << (n + (p + 1) % n))
 
-    def staircase(self, t: tuple[int, int]) -> int:
-        """Realize a lattice displacement from vertex 0: |t.x| unit steps then |t.y| long steps.
+    def staircase_edges(self, t: tuple[int, int]) -> tuple[int, ...]:
+        """The ascending edge indices of the walk from vertex 0: |t.x| unit steps, then |t.y| long steps.
 
-        The target must satisfy t.x + alpha*t.y = 0 mod n so the walk closes;
-        the result then lies in ker(h_x).  Weight is |t.x| + |t.y| unless the
-        walk revisits an edge, in which case the pair cancels.
+        The walk must close: t.x + alpha*t.y = 0 mod n.  Its unit edges are
+        {k, k+1} for k in [0, t.x) or [t.x, 0), its long edges {v, v+alpha} for
+        v = t.x + j*alpha, j in [0, t.y) or [t.y, 0); a revisited edge is listed
+        once per visit.
         """
         tx, ty = t
         if (tx, ty) == (0, 0):
@@ -55,16 +58,15 @@ class TorusGraph:
         n, a = self.n, self.alpha
         if (tx + a * ty) % n != 0:
             raise ValueError("walk does not close: t.x + alpha*t.y != 0 mod n")
+        units = range(0, tx) if tx > 0 else range(tx, 0)
+        longs = range(tx, tx + a * ty, a) if ty > 0 else range(tx + a * ty, tx, a)
+        return tuple(sorted([k % n for k in units] + [n + v % n for v in longs]))
+
+    def staircase(self, t: tuple[int, int]) -> int:
+        """The XOR of ``staircase_edges(t)``, an edge set in ker(h_x); a revisited edge cancels in pairs."""
         bits = 0
-        v = 0
-        step = 1 if tx > 0 else -1
-        for _ in range(abs(tx)):
-            bits ^= 1 << (v if step > 0 else (v - 1) % n)
-            v = (v + step) % n
-        step = 1 if ty > 0 else -1
-        for _ in range(abs(ty)):
-            bits ^= 1 << (n + (v if step > 0 else (v - a) % n))
-            v = (v + step * a) % n
+        for k in self.staircase_edges(t):
+            bits ^= 1 << k
         return bits
 
     def _rot(self, x: int, s: int) -> int:
@@ -82,11 +84,6 @@ class TorusGraph:
         """h_x v: bit p is the parity of the edges of v at vertex p."""
         u, w = self._split(bits)
         return u ^ self._rot(u, 1) ^ w ^ self._rot(w, self.alpha)
-
-    def face_parities(self, bits: int) -> int:
-        """h_z v: bit p is the parity of v on face p."""
-        u, w = self._split(bits)
-        return u ^ self._rot(u, -self.alpha) ^ w ^ self._rot(w, -1)
 
     def dual_logicals(self) -> tuple[int, int]:
         """The edge sets crossing the torus's two cuts, both in ker(h_z).

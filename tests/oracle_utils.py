@@ -145,6 +145,31 @@ def lattice_contains(lat, t: tuple[int, int]) -> bool:
     return c1 % det == 0 and c2 % det == 0
 
 
+def staircase_walk(n: int, alpha: int, t: tuple[int, int]) -> int:
+    """The staircase of t from vertex 0 as a 2n-bit edge set, one step and one XOR at a time.
+
+    |t.x| unit steps then |t.y| long steps; edge k < n is {k, k+1} and n+k is
+    {k, k+alpha}, each named by the vertex it leaves upward.  An edge walked
+    twice cancels.
+    """
+    tx, ty = t
+    bits = 0
+    v = 0  # the vertex, unreduced
+    for _ in range(abs(tx)):
+        if tx < 0:
+            v -= 1
+        bits ^= 1 << (v % n)
+        if tx > 0:
+            v += 1
+    for _ in range(abs(ty)):
+        if ty < 0:
+            v -= alpha
+        bits ^= 1 << (n + v % n)
+        if ty > 0:
+            v += alpha
+    return bits
+
+
 def box_points(bound: int):
     return product(range(-bound, bound + 1), repeat=2)
 

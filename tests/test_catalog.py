@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gbcodex import arithmetic, catalog, cli, css, distance, gbcode, gf2matrix, lattice
+from gbcodex import arithmetic, catalog, cli, css, distance, gbcode, gf2matrix, lattice, torus_graph
 from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import (
     CSV_COLUMNS,
@@ -567,22 +567,23 @@ class TestVerify:
             monkeypatch.setattr(module, name, boom)
         assert verify_catalog(path) == (22, [])
 
-    def test_staircase_built_for_json_rows_only(self, tmp_path, monkeypatch):
-        # a CSV row stores no certificate, so verify builds no staircase for it
+    def test_verify_builds_no_edge_set(self, tmp_path, monkeypatch):
+        # verify lists each certificate from its t_witness and checks it by arithmetic,
+        # so no 2n-bit edge set is built, peeled or tested for logicality
         csv_path, json_path = str(tmp_path / "catalog.csv"), str(tmp_path / "catalog.ndjson")
         write_catalog(csv_path, sweep_catalog(200), 200, fmt="csv")
         write_catalog(json_path, sweep_catalog(200), 200)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("edge set built during verify")
+
+        for module, name in [(TorusGraph, "staircase"), (TorusGraph, "is_logical"), (torus_graph, "edge_support")]:
+            monkeypatch.setattr(module, name, boom)
+        assert verify_catalog(csv_path) == (22, [])
+        assert verify_catalog(json_path) == (22, [])
         lineno = edit_record(json_path, 26, lambda record: record.update(certificate=[0, 1, 2, 3, 4, 26]))
         assert verify_catalog(json_path) == (
             22, [f"line {lineno}: certificate [0,1,2,3,4,26] != recomputed [21,22,23,24,25,47]"])
-
-        def boom(*args, **kwargs):
-            raise AssertionError("staircase built for a CSV row")
-
-        monkeypatch.setattr(TorusGraph, "staircase", boom)
-        assert verify_catalog(csv_path) == (22, [])
-        with pytest.raises(AssertionError, match="staircase built"):
-            verify_catalog(json_path)
 
     def test_boolean_certificate_indices_rejected(self, tmp_path):
         # [false, true] names the same edges as [0, 1] if booleans pass as integers
@@ -680,6 +681,28 @@ class TestVerify:
         monkeypatch.setattr(catalog, "lattice_fields", derived)
         assert verify_catalog(path) == (
             22, [f"line {lineno}: certificate weight 12 != d 6", f"line {lineno}: certificate is not a logical operator"])
+
+    def test_recomputed_certificate_with_a_repeated_edge_is_rejected(self, tmp_path, monkeypatch):
+        # a derivation whose witness walks round the unit cycle past its start: 48 listed edges
+        # for d = 48, t not in 2L, but 21 unit edges twice, so it is no weight-d logical
+        path = str(tmp_path / "catalog.ndjson")
+        write_catalog(path, sweep_catalog(200), 200)
+        wound = (47, 1)
+        listed = list(TorusGraph(26, 5).staircase_edges(wound))
+        assert len(listed) == 48 and len(set(listed)) == 27
+
+        def wound_witness(record):
+            assert (record["alpha"], record["d"]) == (5, 6)
+            record.update(t_witness=list(wound), d=48, certificate=listed)
+
+        lineno = edit_record(path, 26, wound_witness)
+
+        def derived(alpha, n):
+            fields = lattice_fields(alpha, n)
+            return {**fields, "t_witness": list(wound), "d": 48} if n == 26 else fields
+
+        monkeypatch.setattr(catalog, "lattice_fields", derived)
+        assert verify_catalog(path) == (22, [f"line {lineno}: certificate repeats an edge"])
 
     def test_csv_extra_field_rejected(self, tmp_path):
         path = str(tmp_path / "catalog.csv")

@@ -6,6 +6,7 @@ from gbcodex import css
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.gf2matrix import kernel_basis, mat_vec, row_space_contains
 from gbcodex.torus_graph import TorusGraph, edge_support
+from oracle_utils import staircase_walk
 
 
 def graph_and_code(alpha, n):
@@ -71,6 +72,33 @@ class TestStaircase:
         with pytest.raises(ValueError, match="nonzero"):
             TorusGraph(5, 2).staircase((0, 0))
 
+    def test_matches_reference_walk(self):
+        # every closing t in the box |t.x|, |t.y| <= n, walks that revisit an edge included
+        wrong = []
+        for n in range(2, 41):
+            for alpha in range(1, n):
+                g = TorusGraph(n, alpha)
+                for ty in range(-n, n + 1):
+                    for tx in range((-alpha * ty) % n - n, n + 1, n):  # every tx in [-n, n] that closes
+                        t = (tx, ty)
+                        if t == (0, 0):
+                            continue
+                        bits = staircase_walk(n, alpha, t)
+                        if g.staircase(t) != bits:
+                            wrong.append(("staircase", n, alpha, t))
+                        if bits.bit_count() == abs(tx) + abs(ty):  # no edge repeats
+                            edges = g.staircase_edges(t)
+                            if edges != tuple(sorted(set(edges))) or sum(1 << k for k in edges) != bits:
+                                wrong.append(("staircase_edges", n, alpha, t))
+        assert wrong == []
+
+    def test_edges_reject_what_staircase_rejects(self):
+        g = TorusGraph(5, 2)
+        with pytest.raises(ValueError, match="does not close"):
+            g.staircase_edges((1, 1))
+        with pytest.raises(ValueError, match="nonzero"):
+            g.staircase_edges((0, 0))
+
     def test_weight_equals_l1_below_n(self):
         rng = random.Random(89)
         for _ in range(60):
@@ -118,21 +146,20 @@ def all_pairs(max_n=30):
 
 
 class TestEdgeBitChecks:
-    def test_boundary_and_face_parities_are_mat_vec(self):
-        # the unit vectors check every column of h_x and h_z exactly
+    def test_boundary_is_mat_vec(self):
+        # the unit vectors check every column of h_x exactly
         rng = random.Random(101)
         for alpha, n in all_pairs():
             g, code = graph_and_code(alpha, n)
             units = [1 << j for j in range(2 * n)]
             for v in units + [rng.getrandbits(2 * n) for _ in range(4)]:
                 assert g.boundary(v) == mat_vec(code.h_x, v)
-                assert g.face_parities(v) == mat_vec(code.h_z, v)
 
     def test_dual_logicals_lie_in_ker_h_z(self):
         for alpha, n in all_pairs():
             g, code = graph_and_code(alpha, n)
             for m in g.dual_logicals():
-                assert g.face_parities(m) == 0 == mat_vec(code.h_z, m)
+                assert mat_vec(code.h_z, m) == 0
 
     def test_is_logical_matches_dense_check(self):
         rng = random.Random(103)
