@@ -1,10 +1,10 @@
 """Weight-4 generalized bicycle CSS codes, decided by a 2D integer lattice.
 
 The package namespace is the lattice path: number theory (``arithmetic``),
-lattice reduction and L1 enumeration (``lattice``), edge sets on the torus
-graph (``torus_graph``), exact distance reports (``distance``) and catalog
-sweeps (``catalog``, ``cli``).  None of these modules imports the dense
-GF(2) layer at module level.
+lattice reduction and L1 enumeration (``lattice``), staircase certificates
+on the torus graph (``torus_graph``), exact distance reports
+(``distance``) and catalog sweeps (``catalog``, ``cli``).  None of these
+modules imports the dense GF(2) layer at module level.
 
 The dense layer is the checker and test oracle: ``gf2poly`` (polynomials),
 ``gf2matrix`` (bit matrices), ``css`` (rank, logical tests, exhaustive

@@ -4,11 +4,10 @@ Vertices are Z/nZ.  Edge index k < n is the unit edge {k, k+1}; index n+k is
 the long edge {k, k+alpha}.  With that indexing the vertex-edge incidence
 matrix coincides bit-for-bit with h_x = [Circ(1+x) | Circ(1+x^alpha)], faces
 are the rows of h_z, and closed walks are kernel vectors of h_x.  A
-certificate is listed from its lattice vector t alone (``staircase_edges``):
-the staircase of t is a weight-d logical when its d edges are distinct and
-t is not in 2L.  An edge set is a plain int of 2n bits, bit k for edge k;
-h_x v is two cyclic shifts of each half of the edge bits, so the cycle and
-cut-parity checks cost O(n) word operations.
+certificate is the sorted edge list ``staircase_edges(t)`` of a lattice
+vector t: a weight-d logical when its d edges are distinct and t is not in
+2L.  ``face``, ``staircase`` and ``is_sum_of_faces`` work on edge sets as
+ints of 2n bits, bit k for edge k, for the dense cross-check.
 
 Edges are tracked by index, so the construction stays valid for the
 degenerate values alpha in {1, n-1} where the simple graph would collapse to
@@ -16,17 +15,6 @@ a multigraph.
 """
 
 from __future__ import annotations
-
-
-def edge_support(bits: int) -> tuple[int, ...]:
-    """The edge indices of an edge set, ascending, peeled off one lowest set bit at a time."""
-    if bits < 0:
-        raise ValueError("edge bits must be nonnegative")
-    indices = []
-    while bits:
-        indices.append((bits & -bits).bit_length() - 1)  # the lowest set bit
-        bits &= bits - 1
-    return tuple(indices)
 
 
 class TorusGraph:
@@ -68,43 +56,6 @@ class TorusGraph:
         for k in self.staircase_edges(t):
             bits ^= 1 << k
         return bits
-
-    def _rot(self, x: int, s: int) -> int:
-        """Cyclic shift of an n-bit vertex vector: bit p moves to p + s mod n."""
-        n = self.n
-        s %= n
-        return ((x << s) | (x >> (n - s))) & ((1 << n) - 1)
-
-    def _split(self, bits: int) -> tuple[int, int]:
-        if bits < 0 or bits >> (2 * self.n):
-            raise ValueError("edge bits outside [0, 2n)")
-        return bits & ((1 << self.n) - 1), bits >> self.n
-
-    def boundary(self, bits: int) -> int:
-        """h_x v: bit p is the parity of the edges of v at vertex p."""
-        u, w = self._split(bits)
-        return u ^ self._rot(u, 1) ^ w ^ self._rot(w, self.alpha)
-
-    def dual_logicals(self) -> tuple[int, int]:
-        """The edge sets crossing the torus's two cuts, both in ker(h_z).
-
-        Lift vertex v to (v, 0); a unit step is (1, 0) and a long step (0, 1),
-        so a closed walk lifts to c1 (n, 0) + c2 (-alpha, 1) in L.  The first
-        mask (the edges that wrap past n - 1) reads c1 mod 2, the second (all
-        long edges) reads c2 mod 2.
-        """
-        n, a = self.n, self.alpha
-        wrap = (1 << (n - 1)) | ((((1 << a) - 1) << (n - a)) << n)
-        return wrap, ((1 << n) - 1) << n
-
-    def is_logical(self, bits: int) -> bool:
-        """True iff bits is a cycle that is not a sum of faces.
-
-        Both masks lie in ker(h_z), as the tests pin, so an odd overlap with
-        one proves the cycle is not a sum of faces; the two masks read a
-        cycle's class in L / 2L, so every nontrivial cycle meets one oddly.
-        """
-        return not self.boundary(bits) and any((bits & m).bit_count() & 1 for m in self.dual_logicals())
 
     def is_sum_of_faces(self, bits: int) -> bool:
         """Row-space membership in h_z; faces generate exactly the X stabilizers."""

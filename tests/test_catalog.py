@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gbcodex import arithmetic, catalog, cli, css, distance, gbcode, gf2matrix, lattice, torus_graph
+from gbcodex import arithmetic, catalog, cli, css, distance, gbcode, gf2matrix, lattice
 from gbcodex.arithmetic import is_admissible, sqrt_minus_one_all
 from gbcodex.catalog import (
     CSV_COLUMNS,
@@ -19,7 +19,7 @@ from gbcodex.catalog import (
 from gbcodex.distance import determine, lattice_fields, upper_bound_certificate
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
-from gbcodex.torus_graph import TorusGraph, edge_support
+from gbcodex.torus_graph import TorusGraph
 from oracle_utils import (
     gb_check_rows,
     graphlike_min_logical,
@@ -174,7 +174,7 @@ class TestSweep:
         assert len(records) == 98
         for r in records:
             staircase = TorusGraph(r["n"], r["alpha"]).staircase(tuple(r["t_witness"]))
-            assert r["certificate"] == list(edge_support(staircase)), r["n"]
+            assert r["certificate"] == [k for k in range(2 * r["n"]) if staircase >> k & 1], r["n"]
 
     def test_roots_sought_once_per_n(self, tmp_path, monkeypatch):
         scanned = []
@@ -569,7 +569,7 @@ class TestVerify:
 
     def test_verify_builds_no_edge_set(self, tmp_path, monkeypatch):
         # verify lists each certificate from its t_witness and checks it by arithmetic,
-        # so no 2n-bit edge set is built, peeled or tested for logicality
+        # so no 2n-bit edge set is built or tested against the faces
         csv_path, json_path = str(tmp_path / "catalog.csv"), str(tmp_path / "catalog.ndjson")
         write_catalog(csv_path, sweep_catalog(200), 200, fmt="csv")
         write_catalog(json_path, sweep_catalog(200), 200)
@@ -577,8 +577,8 @@ class TestVerify:
         def boom(*args, **kwargs):
             raise AssertionError("edge set built during verify")
 
-        for module, name in [(TorusGraph, "staircase"), (TorusGraph, "is_logical"), (torus_graph, "edge_support")]:
-            monkeypatch.setattr(module, name, boom)
+        for name in ["staircase", "face", "is_sum_of_faces"]:
+            monkeypatch.setattr(TorusGraph, name, boom)
         assert verify_catalog(csv_path) == (22, [])
         assert verify_catalog(json_path) == (22, [])
         lineno = edit_record(json_path, 26, lambda record: record.update(certificate=[0, 1, 2, 3, 4, 26]))
@@ -604,7 +604,8 @@ class TestVerify:
 
         def face_certificate(record):
             assert (record["alpha"], record["d"]) == (3, 4)
-            record["certificate"] = list(edge_support(TorusGraph(10, 3).face(0)))
+            face = TorusGraph(10, 3).face(0)
+            record["certificate"] = [k for k in range(20) if face >> k & 1]
 
         lineno = edit_record(path, 10, face_certificate)
         count, problems = verify_catalog(path)
@@ -619,7 +620,7 @@ class TestVerify:
             assert (record["alpha"], record["t_witness"]) == (5, [-5, 1])
             assert record["certificate"] == [21, 22, 23, 24, 25, 47]
             record["certificate"] = [0, 1, 2, 3, 4, 26]
-            assert TorusGraph(26, 5).is_logical(sum(1 << i for i in record["certificate"]))
+            assert css.is_logical_x(build(canonical_spec(5, 26)), sum(1 << i for i in record["certificate"]))
 
         lineno = edit_record(path, 26, negated_staircase)
         assert verify_catalog(path) == (
@@ -639,8 +640,8 @@ class TestVerify:
         lambda cert: [-1, *cert[1:]],
         lambda cert: [*cert[:-1], 52],
         lambda cert: [*cert[:-1], 10**30],
-        lambda cert: list(edge_support(TorusGraph(26, 5).face(0))),
-        lambda cert: list(edge_support(TorusGraph(26, 5).staircase((5, -1)))),
+        lambda cert: [k for k in range(52) if TorusGraph(26, 5).face(0) >> k & 1],
+        lambda cert: list(TorusGraph(26, 5).staircase_edges((5, -1))),
     ], ids=["bit_flip", "booleans", "floats", "strings", "null", "not_a_list", "unsorted", "repeated_edge",
             "dropped_edge", "extra_edge", "minus_one", "two_n", "ten_to_the_30", "face", "negated_witness"])
     def test_tampered_certificate_is_one_problem(self, tmp_path, records_200, edit):
@@ -670,7 +671,7 @@ class TestVerify:
         def doubled_witness(record):
             assert (record["alpha"], record["d"], record["t_witness"]) == (5, 6, [-5, 1])
             record["t_witness"] = list(doubled)
-            record["certificate"] = list(edge_support(TorusGraph(26, 5).staircase(doubled)))
+            record["certificate"] = list(TorusGraph(26, 5).staircase_edges(doubled))
 
         lineno = edit_record(path, 26, doubled_witness)
 

@@ -4,8 +4,8 @@ import pytest
 
 from gbcodex import css
 from gbcodex.gbcode import build, canonical_spec
-from gbcodex.gf2matrix import kernel_basis, mat_vec, row_space_contains
-from gbcodex.torus_graph import TorusGraph, edge_support
+from gbcodex.gf2matrix import mat_vec, row_space_contains
+from gbcodex.torus_graph import TorusGraph
 from oracle_utils import staircase_walk
 
 
@@ -13,17 +13,16 @@ def graph_and_code(alpha, n):
     return TorusGraph(n, alpha), build(canonical_spec(alpha, n))
 
 
+def in_2l(alpha, n, t):
+    """t = c1 (n, 0) + c2 (-alpha, 1) with c2 = t.y; t is in 2L when c1 and c2 are both even."""
+    tx, ty = t
+    return ty % 2 == 0 and (tx + alpha * ty) // n % 2 == 0
+
+
 class TestFacesAndCocycles:
     def test_face_example(self):
-        assert edge_support(TorusGraph(5, 2).face(0)) == (0, 2, 5, 6)
-
-    def test_edge_support_matches_bit_scan(self):
-        rng = random.Random(71)
-        values = [0] + [rng.getrandbits(w) | 1 << (w - 1) for w in (1, 63, 64, 65, 2048) for _ in range(20)]
-        for bits in values:
-            assert edge_support(bits) == tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
-        with pytest.raises(ValueError):
-            edge_support(-1)
+        face = TorusGraph(5, 2).face(0)
+        assert [k for k in range(10) if face >> k & 1] == [0, 2, 5, 6]
 
     def test_faces_are_h_z_rows(self):
         for n, alpha in [(5, 2), (9, 4), (13, 5), (12, 7)]:
@@ -147,39 +146,16 @@ def all_pairs(max_n=30):
 
 class TestEdgeBitChecks:
     def test_boundary_is_mat_vec(self):
-        # the unit vectors check every column of h_x exactly
-        rng = random.Random(101)
+        # column k of h_x is the boundary of edge k: {k, k+1} for k < n, {k - n, k - n + alpha} above
         for alpha, n in all_pairs():
             g, code = graph_and_code(alpha, n)
-            units = [1 << j for j in range(2 * n)]
-            for v in units + [rng.getrandbits(2 * n) for _ in range(4)]:
-                assert g.boundary(v) == mat_vec(code.h_x, v)
-
-    def test_dual_logicals_lie_in_ker_h_z(self):
-        for alpha, n in all_pairs():
-            g, code = graph_and_code(alpha, n)
-            for m in g.dual_logicals():
-                assert mat_vec(code.h_z, m) == 0
-
-    def test_is_logical_matches_dense_check(self):
-        rng = random.Random(103)
-        seen = set()
-        for alpha, n in all_pairs():
-            g, code = graph_and_code(alpha, n)
-            kernel = kernel_basis(code.h_x)
-            for _ in range(4):
-                combo = 0
-                for b in kernel:
-                    if rng.getrandbits(1):
-                        combo ^= b
-                for v in (rng.getrandbits(2 * n), combo):
-                    assert g.is_logical(v) == css.is_logical_x(code, v)
-                    seen.add(g.is_logical(v))
-        assert seen == {True, False}
+            for k in range(2 * n):
+                v, step = (k, 1) if k < n else (k - n, alpha)
+                assert mat_vec(code.h_x, 1 << k) == 1 << v | 1 << (v + step) % n, (alpha, n, k)
 
     def test_sum_of_faces_is_not_logical_on_every_staircase(self):
-        # a staircase closes, so it is a sum of faces exactly when it is not a logical:
-        # the dense membership test and the O(n) check decide the same thing
+        # a staircase closes, so it is a sum of faces exactly when it is not a logical, that is
+        # when t is in 2L: the writer's dense check and verify's arithmetic decide the same thing
         seen = set()
         for alpha, n in all_pairs(20):
             g = TorusGraph(n, alpha)
@@ -187,10 +163,9 @@ class TestEdgeBitChecks:
                 for tx in range(-n, n + 1):
                     if (tx + alpha * ty) % n or (tx, ty) == (0, 0):
                         continue
-                    bits = g.staircase((tx, ty))
-                    if bits:
-                        assert g.is_sum_of_faces(bits) == (not g.is_logical(bits)), (alpha, n, tx, ty)
-                        seen.add(g.is_logical(bits))
+                    doubled = in_2l(alpha, n, (tx, ty))
+                    assert g.is_sum_of_faces(g.staircase((tx, ty))) == doubled, (alpha, n, tx, ty)
+                    seen.add(doubled)
         assert seen == {True, False}
 
     def test_is_logical_reads_the_class_mod_2l(self):
@@ -198,21 +173,17 @@ class TestEdgeBitChecks:
         # staircase of t in L is a logical exactly when t is not in 2L
         for n in range(2, 41):
             for alpha in range(1, n):
-                g = TorusGraph(n, alpha)
+                g, code = graph_and_code(alpha, n)
                 for ty in range(-n, n + 1):
                     for tx in range(-n, n + 1):
                         if (tx + alpha * ty) % n or (tx, ty) == (0, 0):
                             continue
-                        in_2l = tx % 2 == ty % 2 == 0 and (tx // 2 + alpha * (ty // 2)) % n == 0
-                        assert g.is_logical(g.staircase((tx, ty))) == (not in_2l), (alpha, n, tx, ty)
+                        logical = css.is_logical_x(code, g.staircase((tx, ty)))
+                        assert logical == (not in_2l(alpha, n, (tx, ty))), (alpha, n, tx, ty)
 
     def test_faces_and_staircase(self):
-        g = TorusGraph(10, 3)
-        assert g.boundary(g.face(0)) == 0
-        assert not g.is_logical(g.face(0))
-        assert not g.is_logical(g.face(2) ^ g.face(7))
-        assert g.is_logical(g.staircase((1, 3)))
-
-    def test_out_of_range_bits_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            TorusGraph(5, 2).boundary(1 << 10)
+        g, code = graph_and_code(3, 10)
+        assert mat_vec(code.h_x, g.face(0)) == 0
+        assert not css.is_logical_x(code, g.face(0))
+        assert not css.is_logical_x(code, g.face(2) ^ g.face(7))
+        assert css.is_logical_x(code, g.staircase((1, 3)))
