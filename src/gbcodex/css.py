@@ -8,9 +8,10 @@ Handbook of Coding Theory, 1998; M. Grassl, 2006): it walks sums of ever
 more generators and stops once no unseen sum can beat the best logical.
 It is pure Python and stores no level of the walk: one side of the 2^26
 kernel of (1 + x, 1 + x^7) at n = 25, distance 7, takes about 5 ms
-(2-vCPU Xeon 2.0 GHz VM, Python 3.11).  The first information set is the
-kernel basis read off the cached ``rref`` of the side's check matrix, each
-vector tagged by ``rref_kernel`` with its residue mod the other side's.
+(2-vCPU Xeon 2.0 GHz VM, Python 3.11).  The first information set comes
+from the other side's cached ``rref``, the stabilizers, and k logical
+representatives taken from the free columns of the side's own, each
+tagged with a bit of its own above the columns; no elimination builds it.
 The second is the search's one elimination, by ``gf2matrix.echelon``,
 made only once a level of it can raise the bound.
 """
@@ -121,16 +122,22 @@ def _search(g1: list[int], others: int, ncols: int) -> tuple[int, int]:
     best, witness = ncols + 1, 0
 
     def walk(rows: list[int], start: int, depth: int, acc: int) -> None:
-        """Every sum of acc and ``depth`` rows of rows[start:]."""
+        """Every sum of acc and ``depth`` rows of rows[start:].
+
+        The last two levels are one call: each head row is XORed into acc
+        once, then the rows after it are scanned.
+        """
         nonlocal best, witness
-        if depth > 1:
+        if depth > 2:
             for i in range(start, len(rows) - depth + 1):
                 walk(rows, i + 1, depth - 1, acc ^ rows[i])
             return
-        for r in rows[start:]:
-            x = acc ^ r
-            if x > mask and (x & mask).bit_count() < best:
-                best, witness = (x & mask).bit_count(), x & mask
+        heads = [(start, acc)] if depth == 1 else [(i + 1, acc ^ rows[i]) for i in range(start, len(rows) - 1)]
+        for after, head in heads:
+            for r in rows[after:]:
+                x = head ^ r
+                if x > mask and (x & mask).bit_count() < best:
+                    best, witness = (x & mask).bit_count(), x & mask
 
     for w in range(1, len(g1) + 1):
         walk(g1, 0, w, 0)
@@ -157,9 +164,9 @@ def min_weight_logical(code: CssCode, side: str = "X") -> tuple[int, int] | None
 
     Searches the whole kernel of the side matrix, at worst every vector of
     it, so the kernel dimension, read off the side's cached ``rref`` before
-    anything is built, must not exceed ``KERNEL_CAP``.  G1 is the kernel
-    basis of that ``rref``, each vector tagged with its residue mod the
-    other side's (``_first_information_set``).
+    anything is built, must not exceed ``KERNEL_CAP``.  G1 is the other
+    side's cached ``rref`` rows and k tagged logical representatives, read
+    off the free columns of this side's (``_first_information_set``).
     Only the weight and the witness's logicality are specified: which of
     several minimum-weight logicals is returned may change.
     """
@@ -173,20 +180,46 @@ def min_weight_logical(code: CssCode, side: str = "X") -> tuple[int, int] | None
 
 
 def _first_information_set(code: CssCode, side: str) -> tuple[list[int], int]:
-    """G1 for ``_search`` and its others, the pivot columns of the side's ``rref``.
+    """G1 for ``_search``, in reduced echelon form, and its others, the columns that hold no pivot.
 
-    G1 is the kernel basis of that ``rref``, on the free columns, each
-    vector v as v | residue << length, its residue being v mod the other
-    side's ``rref`` (``is_logical_x``).  The residue is linear: that of e_c
-    is e_c, or e_c + the other side's row of pivot c.  So ``rref_kernel``
-    builds each tagged vector as the XOR of its bits' tagged images.
+    G1 is the other side's cached ``rref`` rows, the stabilizers, then k
+    logical representatives, k = dim ker - rank(other), each tagged with
+    bit length + i.  For the own ``rref``'s free columns j in order, the
+    kernel vector e_j + the pivot of every row holding j is reduced on the
+    rows taken so far; a remainder is tagged, added to every earlier row
+    that holds its lowest bit, its pivot, and taken.  The tags stay
+    independent mod the stabilizers, so a sum of rows is a logical iff it
+    is above the column mask.  Only orthogonality is assumed: the
+    stabilizers lie in the own kernel.
     """
     (own_rows, own_pivots), (stab_rows, stab_pivots) = _side_reductions(code, side)
     n = code.length
-    image = [(1 | 1 << n) << c for c in range(n)]  # e_c, tagged with its residue e_c ...
-    for row, p in zip(stab_rows, stab_pivots):
-        image[p] ^= row << n  # ... or e_c + that row when c is a pivot of the other side
-    return gf2matrix.rref_kernel(own_rows, own_pivots, n, image), sum(1 << p for p in own_pivots)
+    mask = (1 << n) - 1
+    size = n - len(own_rows)  # dim ker: the stabilizers, then k representatives
+    g1 = list(stab_rows)
+    at = {1 << p: i for i, p in enumerate(stab_pivots)}  # at[b] is the position in g1 of the row with pivot bit b
+    held = sum(at)  # the OR of the pivot bits
+    for j in sorted(set(range(n)).difference(own_pivots)):  # the free columns
+        if len(g1) == size:
+            break
+        v = 1 << j
+        for row, p in zip(own_rows, own_pivots):
+            if row >> j & 1:
+                v |= 1 << p
+        hit = v & held
+        while hit:
+            top = 1 << hit.bit_length() - 1
+            v ^= g1[at[top]]
+            hit ^= top
+        if not v & mask:  # in the span of the rows taken
+            continue
+        low = v & -v
+        v |= 1 << (n + len(g1) - len(stab_rows))
+        g1 = [r ^ v if r & low else r for r in g1]
+        at[low] = len(g1)
+        g1.append(v)
+        held |= low
+    return g1, mask & ~held
 
 
 def exhaustive_distance(code: CssCode, side: str = "X") -> int | None:

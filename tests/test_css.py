@@ -205,7 +205,10 @@ def _check_side(code, side, expected):
 
 
 class TestKernelAsFirstInformationSet:
-    """min_weight_logical reads G1 off the cached rref's kernel; _min_logical_weight builds it by echelon."""
+    """min_weight_logical's G1 is a kernel basis: the other side's cached rref and k logical representatives.
+
+    _min_logical_weight builds it by echelon.
+    """
 
     @staticmethod
     def _count_calls(monkeypatch, names):
@@ -244,23 +247,38 @@ class TestKernelAsFirstInformationSet:
         assert calls == {"echelon": 0}
 
     @pytest.mark.parametrize("n", range(3, 15))
-    def test_tags_are_residues_mod_the_other_side(self, n):
+    def test_reduced_kernel_basis_tagged_on_its_logicals(self, n):
         for u in range(1, n):
             for v in range(u + 1, n):
                 code = gb(f"1+x^{u}", f"1+x^{v}", n)
                 mask = (1 << code.length) - 1
-                for side, other in (("X", "Z"), ("Z", "X")):
+                for side in ("X", "Z"):
+                    own_code = code if side == "X" else css.CssCode(code.h_z, code.h_x)
                     g1, others = css._first_information_set(code, side)
-                    assert [x & mask for x in g1] == gf2matrix.rref_kernel(*code._rref[side], code.length)
-                    assert [x >> code.length for x in g1] == [
-                        gf2matrix.rref_reduce(*code._rref[other], x & mask) for x in g1]
-                    assert others == sum(1 << p for p in code._rref[side][1])
+                    rows = [x & mask for x in g1]
+                    assert all(gf2matrix.mat_vec(own_code.h_x, x) == 0 for x in rows)
+                    rank = list_rank_gf2([[(x >> j) & 1 for j in range(code.length)] for x in rows])
+                    assert rank == len(rows) == code.length - len(code._rref[side][0])
+                    pivots = mask & ~others  # others is the complement of the pivots
+                    assert pivots.bit_count() == len(rows)
+                    assert all(sum((x >> p) & 1 for x in rows) == 1 for p in range(code.length) if (pivots >> p) & 1)
+                    assert all((x & pivots).bit_count() == 1 for x in rows)
+                    assert [x > mask for x in g1] == [css.is_logical_x(own_code, x) for x in rows]
+
+    def test_no_kernel_basis_is_built(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("kernel basis built")
+
+        monkeypatch.setattr(gf2matrix, "rref_kernel", boom)
+        code = gb("1+x", "1+x^7", 25)
+        for side in ("X", "Z"):
+            _check_side(code, side, 7)
 
     def test_cap_checked_before_the_kernel_is_built(self, monkeypatch):
         def boom(*args):
-            raise AssertionError("kernel built past the cap")
+            raise AssertionError("first information set built past the cap")
 
-        monkeypatch.setattr(gf2matrix, "rref_kernel", boom)
+        monkeypatch.setattr(css, "_first_information_set", boom)
         code = gb("1+x", "1+x^7", 30)
         for side in ("X", "Z"):
             with pytest.raises(ValueError, match=f"^kernel too large: dimension 31 exceeds cap {css.KERNEL_CAP}$"):

@@ -396,18 +396,3 @@ class TestRrefKernelBruteForce:
         for m in self._matrices():
             rows, pivots = rref(m)
             assert rref_kernel(rows, pivots, m.cols) == reference_rref_kernel(rows, pivots, m.cols)
-
-    def test_image_maps_each_vector_linearly(self):
-        # with images, each vector is the XOR of the images of its bits
-        rng = random.Random(43)
-        for m in self._matrices():
-            rows, pivots = rref(m)
-            image = [rng.getrandbits(2 * m.cols + 1) for _ in range(m.cols)]
-            mapped = [0] * (m.cols - len(rows))
-            for i, v in enumerate(rref_kernel(rows, pivots, m.cols)):
-                for j in range(m.cols):
-                    if (v >> j) & 1:
-                        mapped[i] ^= image[j]
-            assert rref_kernel(rows, pivots, m.cols, image) == mapped
-            assert rref_kernel(rows, pivots, m.cols, [1 << j for j in range(m.cols)]) == (
-                reference_rref_kernel(rows, pivots, m.cols))
