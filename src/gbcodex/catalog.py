@@ -6,13 +6,14 @@ each root class's min-L1 a + b; the largest a + b names the record's alpha
 (``strongest_root``).  ``distance.lattice_fields(alpha, n)`` derives every
 stored field but those roots and the certificate, from one reduction of the
 lattice; the certificate is the staircase of that derivation's own witness
-``t_witness`` (``distance.upper_bound_certificate``).  The sweep returns one
-record (a dict) per admissible n with 2n <= max_length.  Records serialize
-to newline-delimited JSON or to a flat CSV export, with exact integers only;
-the JSON header records max_length and a seed, which is only a label.
-``verify`` derives every record of either format the same way, certificate
-included, compares it field by field, and checks by arithmetic that the
-recomputed certificate is a weight-d logical operator (see ``verify_catalog``).
+``t_witness``.  ``analyze_length`` is this one derivation, with no dense
+algebra.  The sweep returns its record (a dict) per admissible n with 2n <=
+max_length, revalidating each certificate once (``upper_bound_certificate``).
+Records serialize to newline-delimited JSON or to a flat CSV export, with
+exact integers only; the JSON header records max_length and a seed, a label.
+``verify`` derives every record of either format with ``analyze_length``,
+compares it field by field, and checks by arithmetic that the recomputed
+certificate is a weight-d logical operator (see ``verify_catalog``).
 """
 
 from __future__ import annotations
@@ -53,19 +54,21 @@ def strongest_root(n: int) -> int | None:
 
 
 def analyze_length(n: int) -> dict | None:
-    """n's record, from one root scan and one lattice reduction; None when n has no root."""
+    """n's record, from one root scan and one lattice reduction, no dense algebra; None when n has no root."""
     roots, alpha = _roots(n)
     if alpha is None:
         return None
     fields = lattice_fields(alpha, n)
-    certificate = upper_bound_certificate(alpha, n, tuple(fields["t_witness"]))
+    certificate = TorusGraph(n, alpha).staircase_edges(tuple(fields["t_witness"]))
     return {**fields, "alphas": roots, "certificate": list(certificate)}
 
 
 def sweep_catalog(max_length: int) -> list[dict]:
     """The record of every admissible n with 2n <= max_length, sorted by (d, length, alpha)."""
-    results = (analyze_length(n) for n in range(1, max_length // 2 + 1))
-    return sorted((r for r in results if r is not None), key=lambda r: (r["d"], r["length"], r["alpha"]))
+    records = [r for r in map(analyze_length, range(1, max_length // 2 + 1)) if r is not None]
+    for r in records:  # revalidate each certificate once: a RuntimeError unless a weight-d logical
+        upper_bound_certificate(r["alpha"], r["n"], tuple(r["t_witness"]))
+    return sorted(records, key=lambda r: (r["d"], r["length"], r["alpha"]))
 
 
 def _header_dict(max_length: int, seed: int) -> dict:
@@ -123,22 +126,19 @@ def _row_problems(row: dict, keys: list[str] | None, render, seen: set[int], max
         return [f"length {2 * n} exceeds the header's max_length {max_length}"]
     if gap is not None and n > gap:
         return []
-    roots, best = _roots(n)
-    if best is None:
+    expected = analyze_length(n)
+    if expected is None:
         return [f"n = {n} has no square root of -1 in [1, n - 1]"]
-    if alpha != best:
-        return [f"alpha {alpha} is not the strongest root of -1 mod {n} (expected {best})"]
-    fields = lattice_fields(alpha, n)
-    tx, ty = fields["t_witness"]
-    certificate = TorusGraph(n, alpha).staircase_edges((tx, ty))
-    expected = {**fields, "alphas": roots, "certificate": certificate}
+    if alpha != expected["alpha"]:
+        return [f"alpha {alpha} is not the strongest root of -1 mod {n} (expected {expected['alpha']})"]
+    certificate, (tx, ty) = expected["certificate"], expected["t_witness"]
     keys = keys or list(expected)  # a full JSON record holds every field and the certificate
     problems = [f"missing key {key}" for key in keys if key not in row]
     problems += [f"unexpected key {key}" for key in row if key not in keys]
     problems += [f"{key} {render(row[key])} != recomputed {render(value)}"
                  for key, value in expected.items() if key in row and render(row[key]) != render(value)]
-    if len(certificate) != fields["d"]:
-        problems.append(f"certificate weight {len(certificate)} != d {fields['d']}")
+    if len(certificate) != expected["d"]:
+        problems.append(f"certificate weight {len(certificate)} != d {expected['d']}")
     elif len(set(certificate)) != len(certificate):
         problems.append("certificate repeats an edge")
     if ty % 2 == 0 and (tx + alpha * ty) // n % 2 == 0:  # t = c1 (n, 0) + c2 (-alpha, 1) with c1, c2 even
@@ -171,7 +171,7 @@ def verify_catalog(path: str) -> tuple[int, list[str]]:
     Returns (record count, problems); each problem names its line or the
     missing n.  Each record must be the only one for its n, lie within the
     JSON header's max_length, name the strongest root class, and match
-    ``distance.lattice_fields`` field by field.  A JSON header or record must
+    the writer's ``analyze_length`` field by field.  A JSON header or record must
     hold exactly the written keys.  The certificate is compared like any
     field, with the edges of the staircase of the recomputed ``t_witness``:
     d distinct edges, with t_witness not in 2L, so a weight-d logical (no

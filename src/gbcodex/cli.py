@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1  # a RuntimeError is a broken invariant
     except OSError as exc:
         print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return 1

@@ -567,6 +567,28 @@ class TestVerify:
             monkeypatch.setattr(module, name, boom)
         assert verify_catalog(path) == (22, [])
 
+    def test_verify_derives_rows_with_analyze_length(self, tmp_path, monkeypatch):
+        # verify's expected row is the writer's own derivation, once per stored n up to the first gap
+        records = sweep_catalog(200)
+        csv_path, json_path = str(tmp_path / "catalog.csv"), str(tmp_path / "catalog.ndjson")
+        write_catalog(csv_path, records, 200, fmt="csv")
+        write_catalog(json_path, records, 200)
+        derived = []
+
+        def counted(n):
+            derived.append(n)
+            return analyze_length(n)
+
+        monkeypatch.setattr(catalog, "analyze_length", counted)
+        for path in (csv_path, json_path):
+            derived.clear()
+            assert verify_catalog(path) == (22, [])
+            assert sorted(derived) == sorted(r["n"] for r in records) and len(derived) == 22
+        write_catalog(json_path, [r for r in records if r["n"] != 50], 200)
+        derived.clear()
+        assert verify_catalog(json_path) == (21, ["missing row for n = 50"])
+        assert sorted(derived) == sorted(r["n"] for r in records if r["n"] < 50)
+
     def test_verify_builds_no_edge_set(self, tmp_path, monkeypatch):
         # verify lists each certificate from its t_witness and checks it by arithmetic,
         # so no 2n-bit edge set is built or tested against the faces

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from gbcodex import distance
 from gbcodex.cli import main
 from gbcodex.distance import determine, lattice_fields
 from oracle_utils import canonical_alpha
@@ -88,6 +89,13 @@ class TestDistance:
         assert code == 0
         assert "upper=12 exact=12 method=sandwich-closed" in out
         assert "certificate=[" in out and "(weight 12)" in out
+
+    def test_invariant_failure_is_exit_1(self, capsys, monkeypatch):
+        # crossed bounds break an invariant; exit code 2 is kept for usage errors
+        monkeypatch.setattr(distance, "ceil_sqrt", lambda m: 10**6)
+        code, _, err = run_cli(capsys, "distance", "--alpha", "18", "--n", "65")
+        assert code == 1
+        assert err.startswith("error: lower bound 1000000 exceeds certified upper 11 ")
 
     def test_budget_flags(self, capsys):
         # the distance is fixed by the lattice, so no search budget is accepted
@@ -300,9 +308,13 @@ absent("gf2poly", "gf2matrix", "css", "gbcode")
 assert main(["verify", {path!r}]) == 0
 assert main(["bound", "--u", "2", "--v", "4", "--n", "8"]) == 0
 absent("gf2poly", "gf2matrix", "css", "gbcode")
+from gbcodex.catalog import analyze_length
+assert analyze_length(65)["d"] == 11
+absent("gf2poly", "gf2matrix", "css", "gbcode")
 assert main(["sweep", "--max-length", "60", "--output", {path!r}]) == 0
 assert main(["distance", "--alpha", "5", "--n", "13"]) == 0
-# gf2matrix alone still loads here, through TorusGraph.is_sum_of_faces in determine
+# gf2matrix alone loads here, through TorusGraph.is_sum_of_faces in upper_bound_certificate,
+# which the sweep and determine call once per certificate
 absent("gf2poly", "css", "gbcode")
 """
         env = dict(os.environ, PYTHONPATH=str(SRC))
