@@ -74,10 +74,11 @@ def logical_space(code: CssCode, side: str = "X") -> tuple[list[int], list[int]]
 
     Returns (stabilizers, logicals): the stabilizers span the other matrix's
     row space, and together the two lists form a basis of the kernel.  The
-    logicals are the kernel basis reduced mod the stabilizers, in echelon form.
+    logicals are the side matrix's ``kernel_basis`` reduced mod the
+    stabilizers, in echelon form.
     """
-    own, (stab_rows, stab_pivots) = _side_reductions(code, side)
-    kernel = gf2matrix.rref_kernel(*own, code.length)
+    _, (stab_rows, stab_pivots) = _side_reductions(code, side)
+    kernel = gf2matrix.kernel_basis(code.h_x if side.upper() == "X" else code.h_z)
     reduced = [gf2matrix.rref_reduce(stab_rows, stab_pivots, v) for v in kernel]
     return list(stab_rows), gf2matrix.echelon(reduced, (1 << code.length) - 1)[0]
 

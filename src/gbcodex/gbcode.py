@@ -58,17 +58,16 @@ def optimized_kitaev_spec(t: int) -> GbSpec:
 def build(spec: GbSpec) -> CssCode:
     """h_x = [A | B] and h_z = [B^T | A^T], with orthogonality re-asserted as AB = BA.
 
-    h_z^T stacks B over A, so h_x h_z^T = AB + BA, which over GF(2) is zero
-    exactly when A and B commute: two n x n products instead of
-    ``css.new_css``'s transpose of h_z and product over 2n columns.  The
-    built matrices are still checked end to end by the tests
+    h_z is one ``transpose`` of B stacked over A, so h_x h_z^T = AB + BA,
+    which over GF(2) is zero exactly when A and B commute: two n x n
+    products instead of ``css.new_css``'s transpose of h_z and product over
+    2n columns.  The built matrices are still checked end to end by the tests
     ``test_h_z_is_transposed_circulants`` and ``test_orthogonality_always``.
     """
     a, b = gf2matrix.circulant(spec.a, spec.n), gf2matrix.circulant(spec.b, spec.n)
     if gf2matrix.mat_mul(a, b) != gf2matrix.mat_mul(b, a):
         raise ValueError("not orthogonal: AB != BA, so h_x @ h_z^T != 0")
-    h_z = gf2matrix.hstack(gf2matrix.transpose(b), gf2matrix.transpose(a))
-    return CssCode(gf2matrix.hstack(a, b), h_z)
+    return CssCode(gf2matrix.hstack(a, b), gf2matrix.transpose(gf2matrix.BitMatrix(b.rows + a.rows, spec.n)))
 
 
 def dimension_formula(spec: GbSpec) -> int:

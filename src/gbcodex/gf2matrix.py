@@ -2,19 +2,20 @@
 
 Bit j of a row integer is the entry in column j.  All operations are pure and
 work on copies; matrices are safe to share between threads.  One Gaussian
-elimination, ``echelon``, serves rank, kernel and row space here and the
-logical split and exhaustive search in ``css``.
+elimination, ``echelon``, answers rank, kernel and row-space membership here
+in one pass each, and serves the logical split and the search in ``css``.
 
 Costs are counted in big-int steps, each one bitwise operation on a row or
 column integer: ``echelon`` reduces a row v in O(|v & pivots|) steps, one
 per pivot that v holds, plus O(rank) to clear a new pivot from the other
 rows only when one of them holds it, which one AND decides.  That
-back-substitution keeps ``rref`` of an r-row matrix at O(r * rank) steps in
-the worst case, cubic in n for an n x 2n face matrix, however sparse the
-rows.  ``transpose``, ``mat_mul`` and ``rref_kernel`` peel set bits and
-take O(nnz + cols), nnz being the set entries they read.  Every set-bit
-loop here, ``echelon``'s included, takes the top bit, by ``bit_length``
-and one shift, which builds one int per bit where x & -x builds two.
+back-substitution keeps ``echelon`` of r rows at O(r * rank) steps in the
+worst case, cubic in n for an n x 2n face matrix, however sparse the rows.
+``transpose``, ``mat_mul`` and ``kernel_basis`` past its ``rref`` peel set
+bits and take O(nnz + cols), nnz being the set entries they read.  Every
+set-bit loop here, ``echelon``'s included, takes the top bit, by
+``bit_length`` and one shift, which builds one int per bit where x & -x
+builds two.
 """
 
 from __future__ import annotations
@@ -101,15 +102,12 @@ def echelon(rows: Iterable[int], columns: int) -> tuple[list[int], int, list[int
 def rref(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    ``echelon`` on every column, with the rows put in the order of the set
-    bits of its ``held``; the form of a row space is unique, so any
-    elimination order gives these rows.
+    ``echelon`` on every column, its rows sorted by their lowest bit, which
+    the reduced form makes each row's pivot; the form of a row space is
+    unique, so any elimination order gives these rows.
     """
-    out, held, _ = echelon(m.rows, (1 << m.cols) - 1)
-    by_pivot = {(r & -r).bit_length() - 1: r for r in out}
-    digits = bin(held)[:1:-1]  # held's binary digits, lowest first
-    pivots = tuple([j for j, bit in enumerate(digits) if bit == "1"])
-    return tuple(map(by_pivot.__getitem__, pivots)), pivots
+    rows = sorted(echelon(m.rows, (1 << m.cols) - 1)[0], key=lambda r: r & -r)
+    return tuple(rows), tuple([(r & -r).bit_length() - 1 for r in rows])
 
 
 def rref_reduce(rows: tuple[int, ...], pivots: tuple[int, ...], v: int) -> int:
@@ -123,20 +121,12 @@ def rref_reduce(rows: tuple[int, ...], pivots: tuple[int, ...], v: int) -> int:
 def kernel_basis(m: BitMatrix) -> list[int]:
     """Basis of the right kernel {v : m v = 0}, as bit-packed vectors.
 
-    One basis vector per free column; size equals cols - rank.
+    One vector per free column j of ``rref(m)``, in order of j: bit j and the
+    pivot bit of every row with bit j.  Each row's bits but its pivot are
+    peeled once, O(nnz + cols) big-int steps past the ``rref``.
     """
-    return rref_kernel(*rref(m), m.cols)
-
-
-def rref_kernel(rows: tuple[int, ...], pivots: tuple[int, ...], cols: int) -> list[int]:
-    """``kernel_basis`` of a cols-column matrix whose ``rref`` is (rows, pivots).
-
-    The vector of free column j has bit j and the pivot bit of every row
-    with bit j, in order of j.  Each row's free bits, all its bits but its
-    pivot, are peeled once, so the cost is O(nnz + cols) big-int steps.
-    """
-    basis: list[int | None] = [1 << j for j in range(cols)]  # basis[j] is the vector of free column j, once every row is peeled
-    for row, p in zip(rows, pivots):
+    basis: list[int | None] = [1 << j for j in range(m.cols)]  # basis[j] is the vector of free column j, once every row is peeled
+    for row, p in zip(*rref(m)):
         r, add = row ^ 1 << p, 1 << p
         basis[p] = None  # a pivot column has no vector
         while r:
@@ -147,10 +137,12 @@ def rref_kernel(rows: tuple[int, ...], pivots: tuple[int, ...], cols: int) -> li
 
 
 def row_space_contains(m: BitMatrix, v: int) -> bool:
-    """True iff v is a GF(2) combination of the rows of m."""
+    """True iff v is a GF(2) combination of the rows of m, that is, iff one
+    ``echelon`` of them and v tagged with bit ``m.cols`` leaves the bare tag in the rest."""
     if v < 0 or v >> m.cols:
         raise ValueError("vector does not match the matrix width")
-    return rref_reduce(*rref(m), v) == 0
+    tag = 1 << m.cols
+    return tag in echelon([*m.rows, v | tag], tag - 1)[2]
 
 
 def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -20,6 +20,7 @@ from gbcodex.distance import determine, lattice_fields, upper_bound_certificate
 from gbcodex.gbcode import build, canonical_spec
 from gbcodex.lattice import ceil_sqrt
 from gbcodex.torus_graph import TorusGraph
+import check_catalog_distances
 from oracle_utils import (
     gb_check_rows,
     graphlike_min_logical,
@@ -113,6 +114,28 @@ def records_200():
     return sweep_catalog(200)
 
 
+# A second oracle on every emitted row: the graph-like distance on both sides,
+# through the script that CI also runs on the length-800 catalog.
+def test_graphlike_oracle_confirms_every_row_to_length_200(records_200):
+    assert len(records_200) == 22
+    assert [check_catalog_distances.row_mismatch(r) for r in records_200] == [None] * 22
+
+
+def test_distance_check_script_names_each_mismatch(tmp_path, capsys):
+    path = str(tmp_path / "catalog.ndjson")
+    write_catalog(path, sweep_catalog(60), 60)
+    assert check_catalog_distances.main(["check", path]) == 0
+    assert capsys.readouterr().out == "8 rows checked, 0 mismatches\n"
+    edit_record(path, 13, lambda r: r.update(d=4))
+    edit_record(path, 25, lambda r: r.update(d=8))
+    assert check_catalog_distances.main(["check", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "n = 13, alpha = 5: catalog d = 4, oracle d_X = 5, d_Z = 5",
+        "n = 25, alpha = 7: catalog d = 8, oracle d_X = 7, d_Z = 7",
+        "8 rows checked, 2 mismatches",
+    ]
+
+
 class TestSweep:
     def test_tiny_sweeps(self):
         assert [(r["length"], r["k"], r["d"]) for r in sweep_catalog(10)] == [(4, 2, 2), (10, 2, 3)]
@@ -168,6 +191,15 @@ class TestSweep:
         records = sweep_catalog(200)
         assert len(calls) == len(records) == 22
         assert sorted(calls) == sorted((r["alpha"], r["n"], r["t_witness"]) for r in records)
+
+    def test_sweep_and_determine_make_no_rref(self, monkeypatch):
+        # a certificate's face-matrix membership is one echelon pass, not an rref
+        def boom(*args, **kwargs):
+            raise AssertionError("rref called")
+
+        monkeypatch.setattr(gf2matrix, "rref", boom)
+        assert determine(394, 985).exact == 5
+        assert len(sweep_catalog(200)) == 22
 
     def test_certificate_is_staircase_of_t_witness(self):
         records = sweep_catalog(1000)

@@ -269,7 +269,7 @@ class TestKernelAsFirstInformationSet:
         def boom(*args):
             raise AssertionError("kernel basis built")
 
-        monkeypatch.setattr(gf2matrix, "rref_kernel", boom)
+        monkeypatch.setattr(gf2matrix, "kernel_basis", boom)
         code = gb("1+x", "1+x^7", 25)
         for side in ("X", "Z"):
             _check_side(code, side, 7)

@@ -70,6 +70,41 @@ class TestBuild:
             css.new_css(hstack(swap01, swap12), h_z)
 
 
+def sigma(v: int, n: int) -> int:
+    """Column (half h, j) of the result is column (half 1 - h, -j mod n) of v, a 2n-bit row."""
+    out = 0
+    for h in (0, 1):
+        for j in range(n):
+            if v >> ((1 - h) * n + (-j) % n) & 1:
+                out |= 1 << (h * n + j)
+    return out
+
+
+class TestTransposeSymmetry:
+    """h_z row i is h_x row -i mod n under sigma, since A^T = PAP for a circulant A and P: i -> -i.
+
+    So sigma maps the X-logicals of a GB code onto its Z-logicals, keeping weights.
+    """
+
+    @staticmethod
+    def _check(spec):
+        code, n = build(spec), spec.n
+        assert [sigma(code.h_x.rows[-i % n], n) for i in range(n)] == list(code.h_z.rows)
+
+    def test_every_weight2_pair_up_to_n20(self):
+        for n in range(2, 21):
+            for u in range(1, n):
+                for v in range(1, n):
+                    self._check(GbSpec(P(f"1+x^{u}"), P(f"1+x^{v}"), n))
+
+    def test_random_generators_of_weight_1_to_4(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            n = rng.randrange(1, 16)
+            a, b = (BinaryPolynomial.from_support(rng.sample(range(n), rng.randint(1, min(4, n)))) for _ in "ab")
+            self._check(GbSpec(a, b, n))
+
+
 class TestDimensionFormula:
     def test_examples(self):
         assert dimension_formula(GbSpec(P("1+x"), P("1+x^2"), 5)) == 2

@@ -12,7 +12,6 @@ from gbcodex.gf2matrix import (
     mat_vec,
     row_space_contains,
     rref,
-    rref_kernel,
     transpose,
 )
 from gbcodex.gf2poly import BinaryPolynomial, gcd, parse_poly, x_pow_minus_one
@@ -370,7 +369,7 @@ class TestTransposeEntrywise:
 
 
 class TestRrefKernelBruteForce:
-    """``rref_kernel`` against every vector of GF(2)^cols, for cols <= 12."""
+    """``kernel_basis`` against every vector of GF(2)^cols, for cols <= 12."""
 
     @staticmethod
     def _matrices():
@@ -385,8 +384,8 @@ class TestRrefKernelBruteForce:
 
     def test_kernel_size_annihilation_and_span(self):
         for m in self._matrices():
-            rows, pivots = rref(m)
-            basis = rref_kernel(rows, pivots, m.cols)
+            rows, _ = rref(m)
+            basis = kernel_basis(m)
             kernel = {v for v in range(1 << m.cols) if mat_vec(m, v) == 0}
             assert len(kernel) == 2 ** (m.cols - len(rows))
             assert all(mat_vec(m, v) == 0 for v in basis)
@@ -394,5 +393,4 @@ class TestRrefKernelBruteForce:
 
     def test_same_vectors_in_same_order_as_reference(self):
         for m in self._matrices():
-            rows, pivots = rref(m)
-            assert rref_kernel(rows, pivots, m.cols) == reference_rref_kernel(rows, pivots, m.cols)
+            assert kernel_basis(m) == reference_rref_kernel(*rref(m), m.cols)
