@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import catalog
 from .distance import determine, pair_fields
 
 
@@ -51,6 +50,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_length < 0:
         raise ValueError(f"--max-length must be nonnegative, got {args.max_length}")
+    from . import catalog
     records = catalog.sweep_catalog(args.max_length)
     path = args.output or f"catalog.{args.format}"
     catalog.write_catalog(path, records, args.max_length, args.seed, fmt=args.format)
@@ -59,6 +59,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import catalog
     count, problems = catalog.verify_catalog(args.catalog)
     for p in problems:
         print(p, file=sys.stderr)

@@ -269,6 +269,13 @@ class TestEntryPoint:
         env = dict(os.environ, PYTHONPATH=str(SRC))
         return subprocess.run([sys.executable, "-m", "gbcodex", *argv], capture_output=True, text=True, env=env)
 
+    def run_loading_check(self, body):
+        """Run body in a fresh interpreter, with loaded() listing the gbcodex submodules in sys.modules."""
+        script = 'import sys\ndef loaded():\n    return sorted(m for m in sys.modules if m.startswith("gbcodex."))\n' + body
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+
     def test_module_invocation(self):
         result = self.run_module("distance", "--alpha", "2", "--n", "5")
         assert result.returncode == 0
@@ -320,6 +327,24 @@ absent("gf2poly", "css", "gbcode")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 0, result.stderr
+
+    def test_import_loads_only_what_a_name_needs(self):
+        self.run_loading_check("""
+import gbcodex
+assert loaded() == [], loaded()
+from gbcodex import is_admissible
+assert loaded() == ["gbcodex.arithmetic"], loaded()
+""")
+
+    def test_distance_and_bound_load_no_catalog_module(self):
+        self.run_loading_check("""
+from gbcodex.cli import main
+assert main(["distance", "--alpha", "5", "--n", "13"]) == 0
+assert main(["bound", "--u", "2", "--v", "4", "--n", "8"]) == 0
+# arithmetic is imported by catalog alone, and so are json and csv
+assert "gbcodex.catalog" not in loaded() and "gbcodex.arithmetic" not in loaded(), loaded()
+assert "json" not in sys.modules and "csv" not in sys.modules
+""")
 
     def test_usage_error_is_exit_2(self):
         result = self.run_module("distance", "--alpha", "2")
