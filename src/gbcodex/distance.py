@@ -18,8 +18,10 @@ from .lattice import Lattice2D, ceil_sqrt, enumerate_short, gauss_reduce, min_l1
 from .torus_graph import TorusGraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceReport:
+    """What ``determine`` decides for one code; slotted, as a caller may keep many."""
+
     n: int
     alpha: int
     k: int

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from gbcodex import css, distance, gbcode
 from gbcodex.catalog import analyze_length
 from gbcodex.distance import (
+    DistanceReport,
     determine,
     lattice_fields,
     lattice_lower_bound,
@@ -162,6 +164,19 @@ class TestDetermine:
 
     def test_deterministic(self):
         assert determine(12, 29) == determine(12, 29)
+
+    def test_report_is_a_slotted_value(self):
+        # the benchmark keeps every report, so a report carries no per-instance __dict__;
+        # dataclasses.replace still rebuilds one, and equal reports compare and hash equal
+        report = determine(12, 29)
+        assert not hasattr(report, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.k = 4
+        shorter = dataclasses.replace(report, certificate=report.certificate[:-1])
+        assert type(shorter) is DistanceReport and shorter.certificate == report.certificate[:-1]
+        assert shorter != report and shorter.n == report.n
+        same = determine(12, 29)
+        assert same == report and hash(same) == hash(report) and len({same, report}) == 1
 
     def test_crossed_bounds_raise_for_every_caller(self, monkeypatch):
         # lattice_fields holds the check lower <= d, so determine and every sweep row keep it

@@ -129,14 +129,29 @@ class TestSumOfFaces:
         assert not g.is_sum_of_faces(g.staircase((1, 2)))
 
     def test_agrees_with_row_space_membership(self):
+        # is_sum_of_faces feeds the faces by lowest edge; h_z holds them in face order p = 0..n-1.
+        # A random vector is almost never a member, so XORs of random face subsets (members),
+        # staircases (members exactly when t is in 2L) and their sums are drawn too
         rng = random.Random(97)
-        for _ in range(20):
-            n = rng.randrange(4, 14)
-            alpha = rng.randrange(2, n - 1) if n > 4 else 2
+        answers = set()
+        for _ in range(40):
+            n = rng.randrange(4, 61)
+            alpha = rng.randrange(1, n)
             g, code = graph_and_code(alpha, n)
-            for _ in range(20):
-                v = rng.getrandbits(2 * n)
-                assert g.is_sum_of_faces(v) == row_space_contains(code.h_z, v)
+            for _ in range(10):
+                member = 0
+                for p in rng.sample(range(n), rng.randrange(1, n + 1)):
+                    member ^= g.face(p)
+                ty = rng.randrange(-3, 4)
+                t = ((-alpha * ty) % n - n * rng.randrange(0, 2), ty) if ty else (n, 0)
+                stair = g.staircase(t)
+                for v in (rng.getrandbits(2 * n), member, stair, member ^ stair):
+                    expected = row_space_contains(code.h_z, v)
+                    assert g.is_sum_of_faces(v) == expected, (alpha, n, v)
+                    answers.add(expected)
+                assert row_space_contains(code.h_z, member)
+                assert g.is_sum_of_faces(stair) == in_2l(alpha, n, t), (alpha, n, t)
+        assert answers == {True, False}
 
 
 def all_pairs(max_n=30):
